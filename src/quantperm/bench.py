@@ -34,7 +34,7 @@ from .indexing import (
 )
 from .multinomial import ValueTable, build_value_table
 from .outcomes import OutcomeModel, theta_squared
-from .permutations import f_perm, inv_f
+from .permutations import EXPLICIT_WIDTH_LIMIT, f_perm, inv_f
 from .representation import representation_failure, representation_from_perm
 
 BRUTE_EXEC_WIDTH = 20
@@ -214,7 +214,7 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     out.append(_result("f-inverse", n, table.num_indices, bad_inv == 0))
 
     # representation invariants of the canonical permutation
-    if table.width <= 24:
+    if table.width <= EXPLICIT_WIDTH_LIMIT:
         rep = representation_from_perm(table, mapping)
         reason = representation_failure(table, rep)
         out.append(
@@ -250,9 +250,10 @@ def selftest(
     """Run every invariant suite exhaustively for n = 1..n_max."""
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
-    if n_max * (model.M + 1) > 24:
+    if n_max * (model.M + 1) > EXPLICIT_WIDTH_LIMIT:
         raise DomainError(
-            f"selftest needs n_max(M+1) <= 24, got {n_max * (model.M + 1)}"
+            f"selftest needs n_max(M+1) <= {EXPLICIT_WIDTH_LIMIT}, "
+            f"got {n_max * (model.M + 1)}"
         )
     report = SelfTestReport(model_id, n_max)
     if model.haar is not None:

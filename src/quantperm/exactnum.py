@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, sqrt
 from typing import Union
 
@@ -27,6 +28,12 @@ from .errors import DomainError
 Rational = Union[int, Fraction]
 
 
+# Largest radicand accepted: the square-free test is trial division up to
+# sqrt(d), at most 2^16 steps, and runs once per radicand (memoized).
+MAX_RADICAND = 2**32
+
+
+@lru_cache(maxsize=256)
 def _is_square_free(d: int) -> bool:
     if d < 0:
         return False
@@ -48,8 +55,10 @@ class ExactScalar:
     def __init__(self, a: Rational, b: Rational = 0, d: int = 1):
         a = Fraction(a)
         b = Fraction(b)
-        if not isinstance(d, int) or not _is_square_free(d):
-            raise DomainError(f"radicand must be a square-free integer >= 0, got {d!r}")
+        if not isinstance(d, int) or d > MAX_RADICAND or not _is_square_free(d):
+            raise DomainError(
+                f"radicand must be a square-free integer in [0, {MAX_RADICAND}], got {d!r}"
+            )
         if d == 1:
             a, b = a + b, Fraction(0)
         elif d == 0:

@@ -21,14 +21,18 @@ Conventions, fixed once and used everywhere:
   enum_b return their s-th smallest elements (s is 1-based).
 
 beta has two implementations.  beta_bruteforce scans all of [0, xi].
-beta_fast runs the prefix walk: the levels below xi split by their
-longest common prefix with xi; at every 1-bit zeta of xi, the levels
-that share bits 1..zeta-1, have bit zeta = 0, and are free afterwards
-form a block whose class-t count is a sum of multinomial coefficients
-over the compositions left after removing the determined chunk prefix.
-The class is known only through the tau1 oracle: each call makes one
-bulk tau1 scan over K_n (|K_n| counted queries) and then only counts,
-so the query total is polynomial in n for fixed M.
+beta_fast ranks xi in the counting loop, and enum_b unranks s in the
+same loop: ranking and unranking multiset permutations are one descent
+run in two directions.  The loop fixes the chunks one at a time, most
+significant first, and carries every class-t composition that still
+extends the fixed prefix together with its number of completions.
+Ranking adds, at every 1-bit zeta of xi, the class-t levels that share
+bits 1..zeta-1 with xi, have bit zeta = 0 and are free afterwards;
+unranking steps into the chunk value whose cumulative count reaches s.
+The class is known only through the tau1 oracle: each beta_fast or
+enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
+over K_n (|K_n| counted queries) and then only counts, so the query
+total is polynomial in n for fixed M.
 """
 
 from __future__ import annotations
@@ -137,57 +141,90 @@ class BetaWalk:
 
 
 def beta_fast(table: ValueTable, t: int, xi: int) -> int:
-    """beta via the prefix walk; polynomially many tau1 queries."""
-    return _beta_walk(table, t, xi, trace=False).total
+    """beta by ranking xi in the counting loop; one bulk tau1 scan."""
+    table._check_class(t)
+    _check_level(table, xi, "cutoff xi")
+    _, steps, self_term = _count_walk(table, t, xi=xi)
+    return sum(c for _, c in steps) + self_term
 
 
 def beta_fast_trace(table: ValueTable, t: int, xi: int) -> BetaWalk:
-    return _beta_walk(table, t, xi, trace=True)
-
-
-def _beta_walk(table: ValueTable, t: int, xi: int, trace: bool) -> BetaWalk:
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
+    _, steps, self_term = _count_walk(table, t, xi=xi)
+    return BetaWalk(t, xi, sum(c for _, c in steps) + self_term, self_term, steps)
+
+
+def _count_walk(
+    table: ValueTable, t: int, xi: Optional[int] = None, s: int = 0
+) -> Tuple[int, List[Tuple[int, int]], int]:
+    """The counting loop over the class-t compositions, chunk by chunk.
+
+    Rank (xi given): walk the chunks of xi and, at every 1-bit zeta of
+    xi, count the class-t levels that agree with xi on bits 1..zeta-1
+    and have bit zeta = 0.  Unrank (xi None): at every chunk take the
+    smallest chunk value whose cumulative count of class-t completions
+    reaches s, and take the counts of the values passed over off s.
+
+    Returns (level walked, [(zeta, count)] at the 1-bits of a rank walk,
+    1 if the level walked lies in class t else 0).  The class is known
+    only through one bulk tau1 scan; everything after it is counting.
+    """
     model = table.model
     n = table.n
     mp1 = model.M + 1
-    m = model.m
-    mask = m - 1
-    stats = table.stats
-    self_term = 1 if iweight(table, xi) == t else 0
-    members = table.tau1_members(t)  # one bulk tau1 scan
+    mask = model.m - 1
     lut = model._index_of_chunk
-    freq = [0] * m
+    stats = table.stats
+    # (k, q) for every class-t composition k that extends the chunks
+    # fixed so far, whose outcome counts are in used; q is the number of
+    # ways to fill the r chunks left, the multinomial coefficient of
+    # k - used.  Fixing the next chunk to outcome s1 + 1 multiplies that
+    # coefficient by (k[s1] - used[s1]) / r, so r times the completions
+    # with that next chunk is the exact sum of q * (k[s1] - used[s1]).
+    pairs = [(k, _coef(k)) for k in table.tau1_members(t)]  # one bulk tau1 scan
+    used = [0] * model.m
     steps: List[Tuple[int, int]] = []
-    total = 0
-    for i in range(1, n + 1):
-        cx = (xi >> ((n - i) * mp1)) & mask
-        if cx:
-            # compositions still reachable once chunks 1..i-1 are pinned
-            remaining = []
-            for k in members:
-                km = tuple(a - b for a, b in zip(k, freq))
-                if min(km) >= 0:
-                    remaining.append(km)
-            for p in range(1, mp1 + 1):
-                if not (cx >> (mp1 - p)) & 1:
-                    continue
-                zeta = (i - 1) * mp1 + p
-                keep = mp1 - p + 1  # zero out bit p and everything below
-                base = (cx >> keep) << keep
-                contrib = 0
-                for sigma in range(1 << (mp1 - p)):
-                    s1 = lut[base | sigma] - 1
-                    for km in remaining:
-                        if km[s1] >= 1:
-                            kk = km[:s1] + (km[s1] - 1,) + km[s1 + 1 :]
-                            contrib += _coef(kk)
-                            stats.bigint_ops += 1
-                if trace:
-                    steps.append((zeta, contrib))
-                total += contrib
-        freq[lut[cx] - 1] += 1
-    return BetaWalk(t, xi, total + self_term, self_term, steps)
+    ell = 0
+    for i in range(n):
+        r = n - i
+        if not pairs:
+            # rank walks only (an unrank walk never leaves class t): no
+            # class-t level extends this prefix, so every later count is 0
+            rest = xi & ((1 << (r * mp1)) - 1)
+            while rest:
+                b = rest.bit_length()
+                steps.append((n * mp1 - b + 1, 0))
+                rest ^= 1 << (b - 1)
+            return xi, steps, 0
+        if xi is not None:
+            cx = (xi >> ((r - 1) * mp1)) & mask
+            for j in range(mp1 - 1, -1, -1):
+                bit = 1 << j
+                if cx & bit:
+                    base = cx & -(bit << 1)  # cx with bit j and below cleared
+                    acc = 0
+                    for c in range(base, base + bit):
+                        s1 = lut[c] - 1
+                        u = used[s1]
+                        acc += sum([q * (k[s1] - u) for k, q in pairs if k[s1] > u])
+                    stats.bigint_ops += bit * len(pairs)
+                    steps.append((i * mp1 + mp1 - j, acc // r))
+        else:
+            for cx in range(mask + 1):
+                s1 = lut[cx] - 1
+                u = used[s1]
+                acc = sum([q * (k[s1] - u) for k, q in pairs if k[s1] > u])
+                stats.bigint_ops += len(pairs)
+                if s * r <= acc:
+                    break
+                s -= acc // r
+        s1 = lut[cx] - 1
+        u = used[s1]
+        pairs = [(k, q * (k[s1] - u) // r) for k, q in pairs if k[s1] > u]
+        used[s1] = u + 1
+        ell = (ell << mp1) | cx
+    return ell, steps, len(pairs)
 
 
 def enum_a(table: ValueTable, t: int, s: int) -> int:
@@ -198,21 +235,15 @@ def enum_a(table: ValueTable, t: int, s: int) -> int:
 
 
 def enum_b(table: ValueTable, t: int, s: int) -> int:
-    """s-th smallest element of IB_{n,t}, by binary search on monotone beta."""
+    """s-th smallest element of IB_{n,t}, by unranking s in the counting loop."""
     table._check_class(t)
     _check_s(table, t, s)
-    lo, hi = 0, table.num_indices - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if beta_fast(table, t, mid) >= s:
-            hi = mid
-        else:
-            lo = mid + 1
-    if iweight(table, lo) != t:
+    ell, _, _ = _count_walk(table, t, s=s)
+    if iweight(table, ell) != t:
         raise DomainError(
-            f"enum_b postcondition failed: iweight({lo}) != {t}"
+            f"enum_b postcondition failed: iweight({ell}) != {t}"
         )
-    return lo
+    return ell
 
 
 def _check_s(table: ValueTable, t: int, s: int):

@@ -50,6 +50,14 @@ class HaarSpec:
     def __post_init__(self):
         if not isinstance(self.M, int) or self.M < 0:
             raise DomainError(f"truncation depth must be an integer >= 0, got {self.M!r}")
+        # count first, without forming 2^(M+1): the key set below has
+        # 2^(M+1) - 1 entries, and M comes from outside the program
+        size = len(self.coeffs)
+        if size.bit_length() != self.M + 1 or size & (size + 1):
+            raise DomainError(
+                f"haar coefficients for M = {self.M} must number "
+                f"2^{self.M + 1} - 1, got {size}"
+            )
         want = {(k, j) for k in range(self.M + 1) for j in range(2**k)}
         got = set(self.coeffs)
         if got != want:

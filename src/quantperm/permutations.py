@@ -9,10 +9,12 @@ prod_t gamma_{n,t}! and decompose into per-class rank permutations
 phi_t of {1..gamma_t} via pi(enum_a(t, s)) = enum_b(t, phi_t(s)).
 
 F_n is the canonical admissible permutation (phi_t = identity for all
-t); f_perm evaluates it lazily at one ell through the fast beta walk
-and inv_f inverts it the same way, so both stay polynomial relative to
-tau1 at any width.  Explicit permutation tables are only materialized
-for n(M+1) <= 24.
+t).  f_perm evaluates it lazily at one ell by unranking the within-class
+rank in the counting loop of indexing (enum_b), and inv_f inverts it by
+ranking in the same loop (beta_fast).  Each call makes one bulk tau1
+scan over K_n (|K_n| counted queries), so both stay polynomial relative
+to tau1 at any width.  Explicit permutation tables are only
+materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
 
 The characterizing relation: ell' = F_n(ell) is the unique solution of
 

@@ -1,8 +1,11 @@
 """Shared fixtures: the two reference models, an irrational stress model,
 and a session-wide table cache (tables are immutable, so reuse is safe;
-tests that need fresh query counters snapshot/reset stats themselves).
+tests that need fresh query counters snapshot/reset stats themselves),
+plus a wall-clock limit for regression tests of inputs that once hung.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -58,3 +61,23 @@ def model_c():
 @pytest.fixture(scope="session")
 def tables():
     return table_for
+
+
+@pytest.fixture
+def time_limit():
+    """Context manager: fail with TimeoutError after the given seconds."""
+
+    def _expired(signum, frame):
+        raise TimeoutError("time limit exceeded")
+
+    @contextmanager
+    def _limit(seconds):
+        old = signal.signal(signal.SIGALRM, _expired)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    return _limit

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantperm import DomainError, ExactScalar, parse_scalar, scalar_cmp
+from quantperm.exactnum import MAX_RADICAND, _is_square_free
 
 R2 = lambda a, b: ExactScalar(a, b, 2)
 
@@ -33,6 +34,17 @@ def test_rejects_non_square_free_radicand():
         ExactScalar(1, 1, 12)
     with pytest.raises(DomainError):
         ExactScalar(1, 1, -2)
+
+
+def test_large_radicand_is_refused_quickly(time_limit):
+    with time_limit(1.0):
+        with pytest.raises(DomainError, match="4294967296"):
+            parse_scalar("sqrt(1000000000000000003)")
+        with pytest.raises(DomainError):
+            ExactScalar(0, 1, MAX_RADICAND + 1)
+        # the largest prime below the cap is square-free and still accepted
+        assert ExactScalar(0, 1, 4294967291).d == 4294967291
+        assert not _is_square_free(MAX_RADICAND)
 
 
 def test_addition_cancels_radical():

@@ -22,6 +22,8 @@ from quantperm import (
     encode_weight_index,
     enum_a,
     enum_b,
+    f_perm,
+    inv_f,
     is_n,
     is_star,
     istep,
@@ -31,7 +33,8 @@ from quantperm import (
     tau2,
 )
 from quantperm.indexing import decoded_vectors, step_classes, weight_classes
-from quantperm.multinomial import OracleStats
+from quantperm.multinomial import OracleStats, composition_count
+from quantperm.permutations import weight_class_lists
 
 
 def test_decode_examples(model_a, model_b):
@@ -233,6 +236,52 @@ def test_enum_b_round_trip(tables):
                 assert iweight(table, ell) == t
                 assert beta_fast(table, t, ell) == s
                 assert ria(table, t, enum_a(table, t, s))
+
+
+# exhaustive ranges for the checks against oracles that share no code
+# with the counting loop; C's Haar chunk -> rank table is not the identity
+ORACLE_RANGES = (("A", 8), ("B", 4), ("C", 5))
+
+
+def test_enum_b_equals_class_lists(tables):
+    for name, n_top in ORACLE_RANGES:
+        for n in range(1, n_top + 1):
+            table = tables(name, n)
+            lists = weight_class_lists(table)
+            for t in range(table.T + 1):
+                for s in range(1, table.gammas[t] + 1):
+                    assert enum_b(table, t, s) == lists[t][s - 1], (name, n, t, s)
+
+
+def test_beta_fast_equals_bruteforce_oracle(tables):
+    # beta_bruteforce's count kept as a running tally of iweight over
+    # 0..xi (one pass, not one scan per xi), tied to beta_bruteforce
+    # itself on a sample of cutoffs
+    for name, n_top in ORACLE_RANGES:
+        for n in range(1, n_top + 1):
+            table = tables(name, n)
+            counts = [0] * (table.T + 1)
+            for xi in range(table.num_indices):
+                counts[iweight(table, xi)] += 1
+                for t in range(table.T + 1):
+                    assert beta_fast(table, t, xi) == counts[t], (name, n, t, xi)
+            rng = random.Random(n)
+            for xi in rng.sample(range(table.num_indices), min(4, table.num_indices)):
+                for t in range(table.T + 1):
+                    assert beta_fast(table, t, xi) == beta_bruteforce(table, t, xi)
+
+
+def test_lazy_f_charges_one_bulk_scan(tables):
+    table = tables("B", 32)
+    scan = composition_count(32, 4)
+    assert scan == 6545
+    ell = random.Random(3).randrange(table.num_indices)
+    before = table.stats.snapshot()
+    ellp = f_perm(table, ell)
+    assert table.stats.delta(before).tau1_queries == scan
+    before = table.stats.snapshot()
+    assert inv_f(table, ellp) == ell
+    assert table.stats.delta(before).tau1_queries == scan
 
 
 def test_membership_predicates(tables):

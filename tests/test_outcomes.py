@@ -96,6 +96,13 @@ def test_haar_spec_validation():
         HaarSpec(0, {(0, 0): ExactScalar(1, 1, 3)})  # wrong field
 
 
+def test_haar_model_with_large_M_is_refused_quickly(time_limit):
+    # the coefficient count is checked before any 2^(M+1)-sized set is built
+    doc = {"M": 40, "strict": False, "haar": {"coeffs": []}}
+    with time_limit(1.0), pytest.raises(DomainError, match="2\\^41 - 1, got 0"):
+        model_from_json(doc)
+
+
 def test_manual_validation():
     one = ExactScalar(1)
     with pytest.raises(DomainError):
