@@ -12,7 +12,7 @@ array satisfying the row-sum, marginal and bijection invariants.
 """
 
 from .errors import DomainError
-from .exactnum import ExactScalar, parse_scalar, scalar_cmp
+from .exactnum import ExactScalar, parse_scalar
 from .outcomes import (
     HaarSpec,
     OutcomeModel,
@@ -128,7 +128,6 @@ __all__ = [
     "ria",
     "rib",
     "save_model",
-    "scalar_cmp",
     "selftest",
     "tau2",
     "theta_squared",

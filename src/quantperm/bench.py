@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .indexing import (
+    EXPLICIT_WIDTH_LIMIT,
     alpha,
     beta_fast,
     beta_fast_trace,
@@ -34,7 +35,7 @@ from .indexing import (
 )
 from .multinomial import ValueTable, build_value_table
 from .outcomes import OutcomeModel, theta_squared
-from .permutations import EXPLICIT_WIDTH_LIMIT, f_perm, inv_f
+from .permutations import f_perm, inv_f
 from .representation import representation_failure, representation_from_perm
 
 BRUTE_EXEC_WIDTH = 20
@@ -77,7 +78,6 @@ def bench_scaling(
     n_list: Sequence[int],
     samples_per_n: int = 3,
     seed: int = 0,
-    include_brute: bool = True,
 ) -> BenchResult:
     """Measure f_perm query growth over n_list; fit the log-log slope."""
     if not n_list or any(n < 1 for n in n_list):
@@ -105,17 +105,14 @@ def bench_scaling(
                 )
             )
         means.append((n, total_queries / samples_per_n))
-        if include_brute:
-            width = table.width
-            if width <= BRUTE_EXEC_WIDTH:
-                t0 = time.perf_counter()
-                weight_classes(table)
-                dt = time.perf_counter() - t0
-            else:
-                dt = 0.0  # cost recorded, sweep not executed
-            records.append(
-                BenchRecord(model_id, n, "brute-sweep", 0, 0, 2**width, dt)
-            )
+        width = table.width
+        if width <= BRUTE_EXEC_WIDTH:
+            t0 = time.perf_counter()
+            weight_classes(table)
+            dt = time.perf_counter() - t0
+        else:
+            dt = 0.0  # cost recorded, sweep not executed
+        records.append(BenchRecord(model_id, n, "brute-sweep", 0, 0, 2**width, dt))
     slope = fit_loglog_slope(means)
     return BenchResult(records, slope, means)
 

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from .bench import bench_scaling, selftest
 from .errors import DomainError
 from .indexing import (
+    _require_explicit,
     alpha,
     beta_bruteforce,
     beta_fast,
@@ -205,6 +206,8 @@ def _cmd_weight(args) -> int:
 
 def _cmd_beta(args) -> int:
     model = _load(args.model)
+    if args.brute:  # refuse before the table build, which alone takes seconds
+        _require_explicit(args.n * (model.M + 1), "brute-force beta scans")
     table = build_value_table(model, args.n)
     use_fast = args.fast or not args.brute
     use_brute = args.brute

@@ -245,12 +245,15 @@ def parse_scalar(text: str, d: int | None = None) -> ExactScalar:
             raise DomainError(f"missing sign between terms in {text!r} at position {pos}")
         sign = -1 if m.group("sign") == "-" else 1
         rad = m.group("rad1") or m.group("rad2")
-        if m.group("num") is not None:
-            q = Fraction(int(m.group("num")), int(m.group("den") or 1))
-        else:
-            q = Fraction(1)
+        try:
+            q = Fraction(int(m.group("num") or 1), int(m.group("den") or 1))
+            if rad is not None:
+                rad = int(rad)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {text!r} at position {pos}") from None
+        except ValueError:  # beyond Python's int-from-string digit limit
+            raise DomainError(f"number too long at position {pos} of scalar text") from None
         if rad is not None:
-            rad = int(rad)
             if rad in (0, 1):
                 a += sign * q * rad
             elif seen_d is not None and rad != seen_d:
@@ -270,7 +273,3 @@ def parse_scalar(text: str, d: int | None = None) -> ExactScalar:
         raise DomainError(f"scalar {text!r} uses sqrt({seen_d}), expected sqrt({d})")
     out_d = seen_d if seen_d is not None else (d if d is not None else 1)
     return ExactScalar(a, b, out_d)
-
-
-def scalar_cmp(x: ExactScalar, y: ExactScalar) -> int:
-    return x.cmp(y)

@@ -20,7 +20,8 @@ Conventions, fixed once and used everywhere:
   [SMC(t), SMC(t+1)); IB_{n,t} = {ell : iweight(ell) = t}; enum_a and
   enum_b return their s-th smallest elements (s is 1-based).
 
-beta has two implementations.  beta_bruteforce scans all of [0, xi].
+beta has two implementations.  beta_bruteforce scans all of [0, xi], so
+it is refused above EXPLICIT_WIDTH_LIMIT like every explicit map.
 beta_fast ranks xi in the counting loop, and enum_b unranks s in the
 same loop: ranking and unranking multiset permutations are one descent
 run in two directions.  The loop fixes the chunks one at a time, most
@@ -39,12 +40,25 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exactnum import ExactScalar
 from .multinomial import ValueTable, _coef
 from .outcomes import OutcomeModel
+
+
+# Widest n(M+1) at which anything scans or materializes all 2^width levels.
+EXPLICIT_WIDTH_LIMIT = 24
+
+
+def _require_explicit(width: int, what: str = "explicit permutation tables"):
+    if width > EXPLICIT_WIDTH_LIMIT:
+        raise DomainError(
+            f"{what} need n(M+1) <= {EXPLICIT_WIDTH_LIMIT}, got width {width}; "
+            "use the lazy rule (beta_fast, f_perm/inv_f)"
+        )
 
 
 def _check_level(table: ValueTable, ell: int, name: str = "level index"):
@@ -73,17 +87,13 @@ def encode_weight_index(model: OutcomeModel, svec: Sequence[int]) -> int:
     return ell
 
 
-def frequency_vector(model: OutcomeModel, n: int, ell: int) -> Tuple[int, ...]:
-    freq = [0] * model.m
-    for s in decode_weight_index(model, n, ell):
-        freq[s - 1] += 1
-    return tuple(freq)
-
-
 def iweight(table: ValueTable, ell: int) -> int:
     """Value class of the decoded sum at ell (weight side)."""
     _check_level(table, ell)
-    return table.class_of(frequency_vector(table.model, table.n, ell))
+    freq = [0] * table.model.m
+    for s in decode_weight_index(table.model, table.n, ell):
+        freq[s - 1] += 1
+    return table.class_of(freq)
 
 
 def istep(table: ValueTable, ell: int) -> int:
@@ -124,6 +134,7 @@ def alpha(table: ValueTable, t: int, xi: int) -> int:
 
 def beta_bruteforce(table: ValueTable, t: int, xi: int) -> int:
     """|IB_{n,t} intersect {0..xi}| by scanning every level index."""
+    _require_explicit(table.width, "brute-force beta scans")
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
     return sum(1 for ell in range(xi + 1) if iweight(table, ell) == t)
@@ -271,32 +282,37 @@ def rib(table: ValueTable, t: int, ell: int) -> bool:
 
 
 def weight_classes(table: ValueTable) -> List[int]:
-    """iweight of every level index, materialized once per table."""
+    """iweight of every level index, materialized once per table.
+
+    Composition k is coded as sum k_s (n+1)^(s-1), injective since every
+    k_s <= n, so a level's code is the sum of its chunks' codes.  A level
+    is a high half of n//2 chunks followed by a low half, so in level
+    order its codes are each high-half code plus each low-half code; each
+    half list holds only about m^(n/2) codes.
+    """
     cached = table._cache.get("weight_classes")
     if cached is not None:
         return cached
-    model = table.model
     n = table.n
-    m = model.m
-    class_index = table._class_index
-    lut = model._index_of_chunk
-    out = [0] * table.num_indices
-    freq = [0] * m
-
-    def rec(depth: int, base: int):
-        if depth == n:
-            out[base] = class_index[tuple(freq)]
-            return
-        nxt = base * m
-        for c in range(m):
-            s1 = lut[c] - 1
-            freq[s1] += 1
-            rec(depth + 1, nxt + c)
-            freq[s1] -= 1
-
-    rec(0, 0)
+    base = n + 1
+    unit = [base ** (s - 1) for s in table.model._index_of_chunk]
+    cls = {
+        sum(ks * base**s for s, ks in enumerate(k)): t
+        for k, t in table._class_index.items()
+    }
+    hi = _chunk_codes(unit, n // 2)
+    lo = _chunk_codes(unit, n - n // 2)
+    out = [cls[h + l] for h in hi for l in lo]
     table._cache["weight_classes"] = out
     return out
+
+
+def _chunk_codes(unit: List[int], r: int) -> List[int]:
+    """Codes of all r-chunk sequences in level order (first chunk slowest)."""
+    codes = [0]
+    for _ in range(r):
+        codes = [c + u for c in codes for u in unit]
+    return codes
 
 
 def step_classes(table: ValueTable) -> List[int]:
@@ -316,23 +332,7 @@ def decoded_vectors(table: ValueTable) -> List[Tuple[int, ...]]:
     cached = table._cache.get("decoded_vectors")
     if cached is not None:
         return cached
-    model = table.model
-    n = table.n
-    m = model.m
-    lut = model._index_of_chunk
-    out: List[Optional[Tuple[int, ...]]] = [None] * table.num_indices
-    path: List[int] = []
-
-    def rec(depth: int, base: int):
-        if depth == n:
-            out[base] = tuple(path)
-            return
-        nxt = base * m
-        for c in range(m):
-            path.append(lut[c])
-            rec(depth + 1, nxt + c)
-            path.pop()
-
-    rec(0, 0)
+    # product order is level order: the first chunk varies slowest
+    out = list(product(table.model._index_of_chunk, repeat=table.n))
     table._cache["decoded_vectors"] = out
     return out

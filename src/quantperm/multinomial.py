@@ -26,7 +26,7 @@ from math import comb, factorial, prod
 from typing import Iterator, Sequence, Tuple
 
 from .errors import DomainError
-from .exactnum import ExactScalar, scalar_cmp
+from .exactnum import ExactScalar
 from .outcomes import OutcomeModel
 
 Composition = Tuple[int, ...]
@@ -66,7 +66,7 @@ def composition_count(n: int, m: int) -> int:
 
 @dataclass
 class OracleStats:
-    """Deterministic query tallies; merge() combines per-worker counts."""
+    """Deterministic query tallies."""
 
     tau1_queries: int = 0
     tau2_queries: int = 0
@@ -79,11 +79,6 @@ class OracleStats:
 
     def snapshot(self) -> "OracleStats":
         return OracleStats(self.tau1_queries, self.tau2_queries, self.bigint_ops)
-
-    def merge(self, other: "OracleStats"):
-        self.tau1_queries += other.tau1_queries
-        self.tau2_queries += other.tau2_queries
-        self.bigint_ops += other.bigint_ops
 
     def delta(self, earlier: "OracleStats") -> "OracleStats":
         return OracleStats(
@@ -208,4 +203,4 @@ def build_value_table(model: OutcomeModel, n: int) -> ValueTable:
     return ValueTable(model, n, classes)
 
 
-_VALUE_KEY = cmp_to_key(lambda x, y: scalar_cmp(x[0], y[0]))
+_VALUE_KEY = cmp_to_key(lambda x, y: x[0].cmp(y[0]))

@@ -33,7 +33,7 @@ from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .exactnum import ExactScalar, parse_scalar, scalar_cmp
+from .exactnum import ExactScalar, parse_scalar
 
 Pattern = Tuple[int, ...]
 
@@ -233,7 +233,7 @@ def _sorted_model(
     d = ds.pop() if ds else 1
     values = [ExactScalar(v.a, v.b, d) for v in values]
     order = sorted(
-        range(len(values)), key=cmp_to_key(lambda i, j: scalar_cmp(values[i], values[j]))
+        range(len(values)), key=cmp_to_key(lambda i, j: values[i].cmp(values[j]))
     )
     for prev, cur in zip(order, order[1:]):
         if values[prev] == values[cur]:

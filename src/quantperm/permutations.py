@@ -29,7 +29,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .indexing import (
+    EXPLICIT_WIDTH_LIMIT,
     _check_level,
+    _require_explicit,
     alpha,
     beta_fast,
     enum_b,
@@ -39,8 +41,6 @@ from .indexing import (
     weight_classes,
 )
 from .multinomial import ValueTable
-
-EXPLICIT_WIDTH_LIMIT = 24
 
 
 def f_perm(table: ValueTable, ell: int) -> int:
@@ -66,17 +66,9 @@ def gamma_relation(table: ValueTable, ell: int, ellp: int) -> bool:
     return beta_fast(table, t, ellp) * chi == alpha(table, t, ell)
 
 
-def _require_explicit(table: ValueTable):
-    if table.width > EXPLICIT_WIDTH_LIMIT:
-        raise DomainError(
-            f"explicit permutation tables need n(M+1) <= {EXPLICIT_WIDTH_LIMIT}, "
-            f"got width {table.width}; use the lazy F-rule (f_perm/inv_f)"
-        )
-
-
 def weight_class_lists(table: ValueTable) -> List[List[int]]:
     """IB_{n,t} as ascending lists, one per class (explicit-width only)."""
-    _require_explicit(table)
+    _require_explicit(table.width)
     cached = table._cache.get("weight_class_lists")
     if cached is not None:
         return cached
@@ -131,7 +123,7 @@ class AdmissiblePermutation:
 
 def make_admissible(table: ValueTable, block_perms) -> AdmissiblePermutation:
     """Assemble the admissible permutation with the given per-class ranks."""
-    _require_explicit(table)
+    _require_explicit(table.width)
     blocks = [tuple(b) for b in block_perms]
     if len(blocks) != table.T + 1:
         raise DomainError(
@@ -161,7 +153,7 @@ def canonical_permutation(table: ValueTable) -> AdmissiblePermutation:
 
 def blocks_of(table: ValueTable, mapping: Sequence[int]) -> List[Tuple[int, ...]]:
     """Recover the per-class rank permutations of an admissible mapping."""
-    _require_explicit(table)
+    _require_explicit(table.width)
     lists = weight_class_lists(table)
     ranks = [{ell: s0 + 1 for s0, ell in enumerate(ib)} for ib in lists]
     blocks: List[Tuple[int, ...]] = []
@@ -214,7 +206,7 @@ def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
 
 
 def verify_admissible(table: ValueTable, perm: PermLike) -> bool:
-    _require_explicit(table)
+    _require_explicit(table.width)
     return admissibility_failure(table, perm) is None
 
 
@@ -225,7 +217,7 @@ def count_admissible(table: ValueTable) -> int:
 
 def random_admissible(table: ValueTable, seed: int) -> AdmissiblePermutation:
     """Uniformly random admissible permutation from a seeded generator."""
-    _require_explicit(table)
+    _require_explicit(table.width)
     rng = random.Random(seed)
     blocks = []
     for g in table.gammas:

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .indexing import (
+    _require_explicit,
     decoded_vectors,
     encode_weight_index,
     istep,
@@ -43,7 +44,6 @@ from .permutations import (
     AdmissiblePermutation,
     PermLike,
     _as_mapping,
-    _require_explicit,
     admissibility_failure,
     blocks_of,
 )
@@ -83,7 +83,7 @@ class Representation:
 
 def representation_from_perm(table: ValueTable, perm: PermLike) -> Representation:
     """Decode pi(ell) for every level; rejects inadmissible permutations."""
-    _require_explicit(table)
+    _require_explicit(table.width)
     reason = admissibility_failure(table, perm)
     if reason is not None:
         raise DomainError(f"permutation is not admissible: {reason}")
@@ -96,7 +96,7 @@ def perm_from_representation(
     table: ValueTable, rep: Representation
 ) -> AdmissiblePermutation:
     """Re-encode the rows back into the unique underlying permutation."""
-    _require_explicit(table)
+    _require_explicit(table.width)
     if len(rep) != table.num_indices:
         raise DomainError(
             f"representation has {len(rep)} rows, expected {table.num_indices}"
@@ -166,21 +166,10 @@ def verify_representation(table: ValueTable, rep: Representation) -> bool:
 
 # -- normal comparison demo --------------------------------------------------
 
-# Rational tail approximation of the standard normal cdf (|error| < 7.5e-8):
-# Phi(z) = 1 - phi(z)(b1 k + b2 k^2 + ... + b5 k^5), k = 1/(1 + p z), z >= 0.
-_P = 0.2316419
-_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
-
 
 def normal_cdf(z: float) -> float:
-    if z < 0.0:
-        return 1.0 - normal_cdf(-z)
-    k = 1.0 / (1.0 + _P * z)
-    poly = 0.0
-    for b in reversed(_B):
-        poly = (poly + b) * k
-    density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return 1.0 - density * poly
+    """Standard normal cdf Phi(z); erfc keeps the lower tail accurate."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclass

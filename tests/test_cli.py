@@ -95,6 +95,25 @@ def test_malformed_model_file(capsys, tmp_path):
     assert "bad.json:2:" in err
 
 
+def test_model_file_with_zero_denominator(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(
+        json.dumps(
+            {
+                "M": 0,
+                "strict": False,
+                "outcomes": [
+                    {"pattern": [1], "value": "1/0"},
+                    {"pattern": [0], "value": "1"},
+                ],
+            }
+        )
+    )
+    code, out, err = run(capsys, "table", "--model", str(path), "--n", "2")
+    assert code == 1 and out == ""
+    assert "error:" in err
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, _ = run(capsys, "bogus")
     assert code == 2
@@ -119,6 +138,16 @@ def test_beta_fast_brute_and_trace(capsys, tmp_path):
     )
     assert code == 0 and out == "1\n"
     assert trace.read_text() == "1,0\n3,0\n4,0\nself,1\ntotal,1\n"
+
+
+def test_beta_brute_refused_beyond_explicit_width(capsys, time_limit):
+    with time_limit(1):
+        code, out, err = run(
+            capsys, "beta", "--model", "builtin:B", "--n", "32",
+            "--t", "40", "--xi", "12345678901234567890", "--brute",
+        )
+    assert code == 1 and out == ""
+    assert "n(M+1) <= 24" in err
 
 
 def test_beta_json_includes_alpha(capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantperm import DomainError, ExactScalar, parse_scalar, scalar_cmp
+from quantperm import DomainError, ExactScalar, parse_scalar
 from quantperm.exactnum import MAX_RADICAND, _is_square_free
 
 R2 = lambda a, b: ExactScalar(a, b, 2)
@@ -69,9 +69,9 @@ def test_sign_cases():
 
 
 def test_cmp_examples():
-    assert scalar_cmp(R2(0, 1), R2(Fraction(3, 2), 0)) < 0  # sqrt(2) < 3/2
-    assert scalar_cmp(R2(Fraction(7, 5), 0), R2(0, 1)) < 0  # 7/5 < sqrt(2)
-    assert scalar_cmp(R2(1, 1), R2(1, 1)) == 0
+    assert R2(0, 1).cmp(R2(Fraction(3, 2), 0)) < 0  # sqrt(2) < 3/2
+    assert R2(Fraction(7, 5), 0).cmp(R2(0, 1)) < 0  # 7/5 < sqrt(2)
+    assert R2(1, 1).cmp(R2(1, 1)) == 0
     assert R2(0, 1) < 2 and R2(0, 1) > 1
 
 
@@ -135,8 +135,10 @@ def test_parse_variants():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "foo", "1 +", "1 2", "sqrt(2) sqrt(2)", "1/0"):
-        with pytest.raises((DomainError, ZeroDivisionError)):
+    for bad in (
+        "", "foo", "1 +", "1 2", "sqrt(2) sqrt(2)", "1/0", "1" * 5000, "3/0 * sqrt(2)"
+    ):
+        with pytest.raises(DomainError):
             parse_scalar(bad)
     with pytest.raises(DomainError):
         parse_scalar("sqrt(2) + sqrt(3)")
@@ -165,7 +167,7 @@ def test_ring_laws(a1, b1, a2, b2, a3, b3):
 @settings(max_examples=300)
 def test_order_matches_128bit_evaluation(a1, b1, a2, b2):
     x, y = R2(a1, b1), R2(a2, b2)
-    got = scalar_cmp(x, y)
+    got = x.cmp(y)
     with mpmath.workprec(128):
         diff = (
             mpmath.mpf(a1.numerator) / a1.denominator

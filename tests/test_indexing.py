@@ -293,7 +293,9 @@ def test_membership_predicates(tables):
 
 
 def test_cached_maps_match_pointwise(tables):
-    for name, n in (("A", 4), ("B", 2), ("C", 2)):
+    # A at n = 1 has an empty high half; C's chunk-to-rank map is not the
+    # identity
+    for name, n in (("A", 1), ("A", 4), ("A", 9), ("B", 2), ("B", 5), ("C", 2), ("C", 5)):
         table = tables(name, n)
         wc = weight_classes(table)
         sc = step_classes(table)
@@ -313,3 +315,9 @@ def test_beta_fast_equals_brute_sampled(tables, data):
     t = data.draw(st.integers(min_value=0, max_value=table.T))
     xi = data.draw(st.integers(min_value=0, max_value=table.num_indices - 1))
     assert beta_fast(table, t, xi) == beta_bruteforce(table, t, xi)
+
+
+def test_beta_bruteforce_refused_beyond_explicit_width(tables, time_limit):
+    table = tables("A", 25)
+    with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
+        beta_bruteforce(table, 0, table.num_indices - 1)
