@@ -30,12 +30,11 @@ from .indexing import (
     alpha,
     beta_fast,
     beta_fast_trace,
-    step_classes,
     weight_classes,
 )
 from .multinomial import ValueTable, build_value_table
 from .outcomes import OutcomeModel, theta_squared
-from .permutations import f_perm, inv_f
+from .permutations import admissibility_failure, f_perm, inv_f
 from .representation import representation_failure, representation_from_perm
 
 BRUTE_EXEC_WIDTH = 20
@@ -195,17 +194,15 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     out.append(_result("alpha-beta-gamma", n, table.T + 1, bad == 0))
 
     # F is admissible and inv_f inverts it
-    sc = step_classes(table)
     mapping = [f_perm(table, ell) for ell in range(table.num_indices)]
-    bad_adm = sum(1 for ell, ellp in enumerate(mapping) if wc[ellp] != sc[ell])
+    reason = admissibility_failure(table, mapping)
     bad_inv = sum(
         1 for ell, ellp in enumerate(mapping) if inv_f(table, ellp) != ell
     )
-    bij = len(set(mapping)) == table.num_indices
     out.append(
         _result(
             "f-admissible", n, table.num_indices,
-            bad_adm == 0 and bij,
+            reason is None, reason or "",
         )
     )
     out.append(_result("f-inverse", n, table.num_indices, bad_inv == 0))

@@ -154,22 +154,18 @@ def canonical_permutation(table: ValueTable) -> AdmissiblePermutation:
 def blocks_of(table: ValueTable, mapping: Sequence[int]) -> List[Tuple[int, ...]]:
     """Recover the per-class rank permutations of an admissible mapping."""
     _require_explicit(table.width)
-    lists = weight_class_lists(table)
-    ranks = [{ell: s0 + 1 for s0, ell in enumerate(ib)} for ib in lists]
-    blocks: List[Tuple[int, ...]] = []
-    for t in range(table.T + 1):
-        start, stop = table.smc[t], table.smc[t + 1]
-        block = []
-        for ell in range(start, stop):
-            ellp = mapping[ell]
-            if ellp not in ranks[t]:
-                raise DomainError(
-                    f"mapping is not admissible: pi({ell}) = {ellp} "
-                    f"lies outside the class-{t} weight set"
-                )
-            block.append(ranks[t][ellp])
-        blocks.append(tuple(block))
-    return blocks
+    reason = admissibility_failure(table, mapping)
+    if reason is not None:
+        raise DomainError(f"mapping is not admissible: {reason}")
+    rank = [0] * table.num_indices
+    for ib in weight_class_lists(table):
+        for s, ell in enumerate(ib, 1):
+            rank[ell] = s
+    smc = table.smc
+    return [
+        tuple(rank[ellp] for ellp in mapping[smc[t]:smc[t + 1]])
+        for t in range(table.T + 1)
+    ]
 
 
 PermLike = Union[AdmissiblePermutation, Sequence[int]]
@@ -199,8 +195,8 @@ def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
     for ell, ellp in enumerate(mapping):
         if wc[ellp] != sc[ell]:
             return (
-                f"class mismatch at ell={ell}: istep={sc[ell]} "
-                f"but iweight(pi(ell))={wc[ellp]}"
+                f"class mismatch at ell={ell}: row sum of pi(ell) is in "
+                f"class {wc[ellp]}, expected istep={sc[ell]}"
             )
     return None
 

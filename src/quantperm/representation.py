@@ -16,7 +16,11 @@ Three invariants characterize these arrays:
 
 Conversely, any array with rows drawn bijectively from the outcome
 sequences recovers its permutation by re-encoding each row, so
-representations and admissible permutations are in bijection.
+representations and admissible permutations are in bijection.  The
+invariants are checked that way: the rows must re-encode to an
+admissible mapping (a row sums to IS*_n(ell) iff its class is
+istep(ell), and admissibility includes the bijection, which implies the
+marginals), plus an optional direct tally of the marginals.
 
 clt_table compares the exact quantile cdf against the standard normal
 cdf on the standardized grid z_t = v_t / (theta sqrt(n)); the sup
@@ -27,18 +31,13 @@ the package).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .indexing import (
-    _require_explicit,
-    decoded_vectors,
-    encode_weight_index,
-    istep,
-    step_classes,
-    weight_classes,
-)
+from .indexing import _require_explicit, decoded_vectors
 from .multinomial import ValueTable
 from .permutations import (
     AdmissiblePermutation,
@@ -55,7 +54,7 @@ class Representation:
     def __init__(self, table: ValueTable, rows: Sequence[Tuple[int, ...]]):
         self.table = table
         self.n = table.n
-        self.rows = tuple(rows)
+        self.rows = tuple(map(tuple, rows))
 
     def row(self, ell: int) -> Tuple[int, ...]:
         if not 0 <= ell < len(self.rows):
@@ -97,24 +96,7 @@ def perm_from_representation(
 ) -> AdmissiblePermutation:
     """Re-encode the rows back into the unique underlying permutation."""
     _require_explicit(table.width)
-    if len(rep) != table.num_indices:
-        raise DomainError(
-            f"representation has {len(rep)} rows, expected {table.num_indices}"
-        )
-    model = table.model
-    mapping = []
-    seen = bytearray(table.num_indices)
-    for ell, row in enumerate(rep.rows):
-        if len(row) != table.n:
-            raise DomainError(f"row {ell} has {len(row)} entries, expected {table.n}")
-        ellp = encode_weight_index(model, row)
-        if seen[ellp]:
-            raise DomainError(
-                f"rows are not a bijection: outcome sequence of level {ell} "
-                f"already used (encodes to {ellp})"
-            )
-        seen[ellp] = 1
-        mapping.append(ellp)
+    mapping = _row_levels(table, rep.rows)
     return AdmissiblePermutation(table, mapping, blocks_of(table, mapping))
 
 
@@ -123,41 +105,55 @@ def representation_failure(
 ) -> Optional[str]:
     """None if the three invariants hold, else a one-line reason.
 
-    Row sums are checked exhaustively through the class maps (exact:
-    a row sums to IS*(ell) iff its frequency class equals istep(ell)).
-    The bijection check is exhaustive.  With thorough=True the marginal
-    counts are also tallied directly.
+    The rows must re-encode to a mapping that admissibility_failure
+    accepts (row sums and bijection, exhaustively).  With thorough=True
+    the marginal counts are also tallied directly.
     """
-    if len(rep) != table.num_indices:
-        return f"{len(rep)} rows, expected {table.num_indices}"
-    model = table.model
-    sc = step_classes(table)
-    wc = weight_classes(table)
-    seen = bytearray(table.num_indices)
-    for ell, row in enumerate(rep.rows):
-        ellp = encode_weight_index(model, row)
-        if wc[ellp] != sc[ell]:
-            return (
-                f"row sum mismatch at ell={ell}: class {wc[ellp]}, "
-                f"expected istep={sc[ell]}"
-            )
-        if seen[ellp]:
-            return f"rows are not a bijection: duplicate at ell={ell}"
-        seen[ellp] = 1
-    if thorough:
-        want = table.num_indices // model.m
-        counts = [[0] * model.m for _ in range(table.n)]
-        for row in rep.rows:
-            for i, s in enumerate(row):
-                counts[i][s - 1] += 1
-        for i in range(table.n):
-            for s1 in range(model.m):
-                if counts[i][s1] != want:
-                    return (
-                        f"marginal of summand {i + 1} at outcome {s1 + 1} is "
-                        f"{counts[i][s1]}, expected {want}"
-                    )
+    try:
+        mapping = _row_levels(table, rep.rows)
+    except DomainError as exc:
+        return str(exc)
+    reason = admissibility_failure(table, mapping)
+    if reason is not None or not thorough:
+        return reason
+    want = table.num_indices // table.model.m
+    for i, column in enumerate(zip(*rep.rows), 1):
+        counts = Counter(column)
+        for s in range(1, table.model.m + 1):
+            if counts[s] != want:
+                return (
+                    f"marginal of summand {i} at outcome {s} is "
+                    f"{counts[s]}, expected {want}"
+                )
     return None
+
+
+def _row_levels(table: ValueTable, rows: Sequence[Tuple[int, ...]]) -> List[int]:
+    """The level each row decodes from; DomainError on a malformed row.
+
+    A row is its high n//2 ranks followed by its low n - n//2 ranks, and
+    product order is level order, so each half's level code is its
+    position in the product of outcome ranks: one dict lookup per half.
+    A row of the wrong length or with a non-rank entry misses a dict.
+    """
+    model = table.model
+    lut = model._index_of_chunk
+    n = table.n
+    h = n // 2
+    hi, lo = (
+        {ranks: code for code, ranks in enumerate(product(lut, repeat=r))}
+        for r in (h, n - h)
+    )
+    shift = (n - h) * (model.M + 1)
+    levels = []
+    for ell, row in enumerate(rows):
+        try:
+            levels.append(hi[row[:h]] << shift | lo[row[h:]])
+        except (KeyError, TypeError):  # TypeError: an unhashable entry
+            raise DomainError(
+                f"row {ell} is {row!r}, not {n} outcome ranks in [1, {model.m}]"
+            ) from None
+    return levels
 
 
 def verify_representation(table: ValueTable, rep: Representation) -> bool:

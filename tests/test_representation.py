@@ -119,13 +119,23 @@ def test_failure_reasons(tables):
     assert not verify_representation(table, bad)
     short = Representation(table, rows[:2])
     assert "expected" in representation_failure(table, short)
+    # malformed rows: too short ((1,) packed chunk by chunk is the level
+    # of (2, 1)), too long, a rank out of range, non-rank entries
+    for bad_row in ((1,), (2, 1, 1), (0, 1), (1, "x"), (1, [2])):
+        rows = list(good.rows)
+        rows[1] = bad_row
+        bad = Representation(table, rows)
+        for thorough in (False, True):
+            assert representation_failure(table, bad, thorough) is not None
+        with pytest.raises(DomainError):
+            perm_from_representation(table, bad)
 
 
 def test_normal_cdf_against_high_precision():
     with mpmath.workprec(80):
         for z in (0.0, 0.5, -0.5, 1.0, -1.0, 1.96, -1.96, 3.0, -3.0, 5.0):
             want = float(mpmath.ncdf(z))
-            assert abs(normal_cdf(z) - want) < 1e-7, z
+            assert abs(normal_cdf(z) - want) < 1e-15, z
 
 
 def test_clt_a4_sup_distance(tables):
