@@ -37,8 +37,6 @@ from .outcomes import OutcomeModel, theta_squared
 from .permutations import admissibility_failure, f_perm, inv_f
 from .representation import representation_failure, representation_from_perm
 
-BRUTE_EXEC_WIDTH = 20
-
 
 @dataclass
 class BenchRecord:
@@ -105,7 +103,7 @@ def bench_scaling(
             )
         means.append((n, total_queries / samples_per_n))
         width = table.width
-        if width <= BRUTE_EXEC_WIDTH:
+        if width <= EXPLICIT_WIDTH_LIMIT:
             t0 = time.perf_counter()
             weight_classes(table)
             dt = time.perf_counter() - t0
@@ -208,15 +206,14 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     out.append(_result("f-inverse", n, table.num_indices, bad_inv == 0))
 
     # representation invariants of the canonical permutation
-    if table.width <= EXPLICIT_WIDTH_LIMIT:
-        rep = representation_from_perm(table, mapping)
-        reason = representation_failure(table, rep)
-        out.append(
-            _result(
-                "representation", n, table.num_indices,
-                reason is None, reason or "",
-            )
+    rep = representation_from_perm(table, mapping)
+    reason = representation_failure(table, rep)
+    out.append(
+        _result(
+            "representation", n, table.num_indices,
+            reason is None, reason or "",
         )
+    )
 
     # the walk splits 2^(width - zeta) levels at each 1-bit zeta
     rng = random.Random(seed)

@@ -66,6 +66,7 @@ def _json_int(x: int):
 
 
 def _load_perm_file(path: str, table: ValueTable) -> List[int]:
+    _require_explicit(table.width, "permutation files")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -168,6 +169,7 @@ def _cmd_table(args) -> int:
 
 def _levels(args, table: ValueTable) -> List[int]:
     if args.all:
+        _require_explicit(table.width, "--all listings")
         return list(range(table.num_indices))
     if args.ell is None:
         raise DomainError("need --ell L or --all")

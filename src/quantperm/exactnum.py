@@ -89,9 +89,6 @@ class ExactScalar:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def is_rational(self) -> bool:
         return self.b == 0
 

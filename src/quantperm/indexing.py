@@ -290,6 +290,7 @@ def weight_classes(table: ValueTable) -> List[int]:
     order its codes are each high-half code plus each low-half code; each
     half list holds only about m^(n/2) codes.
     """
+    _require_explicit(table.width, "explicit level tables")
     cached = table._cache.get("weight_classes")
     if cached is not None:
         return cached
@@ -317,6 +318,7 @@ def _chunk_codes(unit: List[int], r: int) -> List[int]:
 
 def step_classes(table: ValueTable) -> List[int]:
     """istep of every level index: class t repeated gamma_t times."""
+    _require_explicit(table.width, "explicit level tables")
     cached = table._cache.get("step_classes")
     if cached is not None:
         return cached
@@ -329,6 +331,7 @@ def step_classes(table: ValueTable) -> List[int]:
 
 def decoded_vectors(table: ValueTable) -> List[Tuple[int, ...]]:
     """decode of every level index, materialized once per table."""
+    _require_explicit(table.width, "explicit level tables")
     cached = table._cache.get("decoded_vectors")
     if cached is not None:
         return cached

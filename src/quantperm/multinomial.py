@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import comb, factorial, prod
+from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
 
 from .errors import DomainError
@@ -181,26 +182,17 @@ class ValueTable:
 
 
 def build_value_table(model: OutcomeModel, n: int) -> ValueTable:
-    """Enumerate K_n, evaluate each composition, sort and group exactly."""
+    """Enumerate K_n, group it by exact value, then sort the distinct values.
+
+    Enumeration is lex order, so each class lists its members in lex order.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
-    entries = []
+    classes: dict = {}
     for k in enumerate_compositions(n, model.m):
         value = model.zero()
         for s1, count in enumerate(k):
             if count:
                 value = value + model.outcomes[s1] * count
-        entries.append((value, k))
-    entries.sort(key=_VALUE_KEY)
-    classes = []
-    for value, k in entries:
-        if classes and classes[-1][0] == value:
-            classes[-1][1].append(k)
-        else:
-            classes.append((value, [k]))
-    for _, ks in classes:
-        ks.sort()
-    return ValueTable(model, n, classes)
-
-
-_VALUE_KEY = cmp_to_key(lambda x, y: x[0].cmp(y[0]))
+        classes.setdefault(value, []).append(k)
+    return ValueTable(model, n, sorted(classes.items(), key=itemgetter(0)))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -232,34 +231,22 @@ def _sorted_model(
         raise DomainError(f"outcome values mix radicands {sorted(ds)}")
     d = ds.pop() if ds else 1
     values = [ExactScalar(v.a, v.b, d) for v in values]
-    order = sorted(
-        range(len(values)), key=cmp_to_key(lambda i, j: values[i].cmp(values[j]))
-    )
+    order = sorted(range(len(values)), key=values.__getitem__)
     for prev, cur in zip(order, order[1:]):
         if values[prev] == values[cur]:
             raise DomainError(
                 f"outcome values are not distinct: patterns "
                 f"{patterns[prev]!r} and {patterns[cur]!r} both give {values[cur].text()}"
             )
-    sorted_values = [values[i] for i in order]
-    sorted_patterns = [patterns[i] for i in order]
-    m = 2 ** (M + 1)
-    if strict:
-        total = ExactScalar(0, 0, d)
-        total_sq = ExactScalar(0, 0, d)
-        for v in sorted_values:
-            total = total + v
-            total_sq = total_sq + v * v
-        if not total.is_zero():
-            raise DomainError(
-                f"strict model must have outcomes summing to 0, got {total.text()}"
-            )
-        if total_sq != m:
-            raise DomainError(
-                f"strict model must have squared outcomes summing to m={m}, "
-                f"got {total_sq.text()}"
-            )
-    return OutcomeModel(M, sorted_values, sorted_patterns, strict, d, haar)
+    model = OutcomeModel(
+        M, [values[i] for i in order], [patterns[i] for i in order], strict, d, haar
+    )
+    if strict and not (model.mean == 0 and model.variance == 1):
+        raise DomainError(
+            f"strict model must have mean 0 and variance 1, got mean "
+            f"{model.mean.text()} and variance {model.variance.text()}"
+        )
+    return model
 
 
 def build_manual(

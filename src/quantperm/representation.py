@@ -20,7 +20,7 @@ representations and admissible permutations are in bijection.  The
 invariants are checked that way: the rows must re-encode to an
 admissible mapping (a row sums to IS*_n(ell) iff its class is
 istep(ell), and admissibility includes the bijection, which implies the
-marginals), plus an optional direct tally of the marginals.
+marginals).
 
 clt_table compares the exact quantile cdf against the standard normal
 cdf on the standardized grid z_t = v_t / (theta sqrt(n)); the sup
@@ -31,7 +31,6 @@ the package).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
@@ -106,26 +105,16 @@ def representation_failure(
     """None if the three invariants hold, else a one-line reason.
 
     The rows must re-encode to a mapping that admissibility_failure
-    accepts (row sums and bijection, exhaustively).  With thorough=True
-    the marginal counts are also tallied directly.
+    accepts (row sums and bijection, exhaustively).  thorough is kept for
+    callers and changes nothing: a bijection onto all m^n outcome sequences
+    puts every rank in every column m^(n-1) times, so a direct tally of
+    the marginals could never fail.
     """
     try:
         mapping = _row_levels(table, rep.rows)
     except DomainError as exc:
         return str(exc)
-    reason = admissibility_failure(table, mapping)
-    if reason is not None or not thorough:
-        return reason
-    want = table.num_indices // table.model.m
-    for i, column in enumerate(zip(*rep.rows), 1):
-        counts = Counter(column)
-        for s in range(1, table.model.m + 1):
-            if counts[s] != want:
-                return (
-                    f"marginal of summand {i} at outcome {s} is "
-                    f"{counts[s]}, expected {want}"
-                )
-    return None
+    return admissibility_failure(table, mapping)
 
 
 def _row_levels(table: ValueTable, rows: Sequence[Tuple[int, ...]]) -> List[int]:

@@ -150,6 +150,24 @@ def test_beta_brute_refused_beyond_explicit_width(capsys, time_limit):
     assert "n(M+1) <= 24" in err
 
 
+def test_level_listings_refused_beyond_explicit_width(capsys, tmp_path, time_limit):
+    perm = tmp_path / "perm.csv"
+    perm.write_text("0,0\n", encoding="utf-8")
+    common = ("--model", "builtin:A", "--n", "64")
+    for argv in (
+        ("fperm", *common, "--all"),
+        ("invf", *common, "--all"),
+        ("step", *common, "--all"),
+        ("weight", *common, "--all"),
+        ("verify", *common, "--perm", str(perm)),
+        ("repr", *common, "--perm", str(perm)),
+    ):
+        with time_limit(1):
+            code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "n(M+1) <= 24" in err, argv
+
+
 def test_beta_json_includes_alpha(capsys):
     code, out, _ = run(
         capsys, "beta", "--model", "builtin:B", "--n", "2",

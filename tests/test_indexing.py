@@ -321,3 +321,6 @@ def test_beta_bruteforce_refused_beyond_explicit_width(tables, time_limit):
     table = tables("A", 25)
     with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
         beta_bruteforce(table, 0, table.num_indices - 1)
+    for build in (weight_classes, step_classes, decoded_vectors):
+        with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
+            build(table)

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from quantperm import (
     DomainError,
+    ExactScalar,
+    HaarSpec,
+    build_haar,
     build_value_table,
     composition_count,
     enumerate_compositions,
@@ -93,10 +96,37 @@ def test_table_n1_is_model(tables, model_b):
 
 
 def test_monotone_values(tables):
-    for name, n in (("A", 6), ("B", 3), ("C", 3)):
-        table = tables(name, n)
+    # an M = 2 Haar model: sqrt(2) coefficients at level 1, rationals at 2
+    haar = build_haar(
+        HaarSpec(
+            2,
+            {
+                (0, 0): ExactScalar(2),
+                (1, 0): ExactScalar(0, Fraction(1, 2), 2),
+                (1, 1): ExactScalar(0, Fraction(1, 3), 2),
+                (2, 0): ExactScalar(Fraction(1, 5)),
+                (2, 1): ExactScalar(Fraction(1, 7)),
+                (2, 2): ExactScalar(Fraction(1, 11)),
+                (2, 3): ExactScalar(Fraction(1, 13)),
+            },
+        )
+    )
+    cases = [
+        tables(name, n)
+        for name, n in (("A", 6), ("B", 3), ("B", 8), ("C", 3), ("C", 5))
+    ]
+    cases += [build_value_table(haar, n) for n in range(1, 5)]
+    for table in cases:
+        model = table.model
         for t in range(table.T):
             assert table.values[t] < table.values[t + 1]
+        for t, ks in enumerate(table.members):
+            for k in ks:
+                total = model.zero()
+                for s, count in enumerate(k, start=1):
+                    total = total + model.outcome(s) * count
+                assert total == table.values[t]
+            assert all(a < b for a, b in zip(ks, ks[1:]))
 
 
 def test_tau1_and_counting(tables):

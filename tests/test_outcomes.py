@@ -118,6 +118,8 @@ def test_manual_validation():
     # same pairs, non-strict: fine
     model = build_manual(0, [((0,), one), ((1,), ExactScalar(-2))], strict=False)
     assert [o.text() for o in model.outcomes] == ["-2", "1"]
+    with pytest.raises(DomainError, match="variance 4"):  # mean 0, variance 4
+        build_manual(0, [((0,), ExactScalar(2)), ((1,), ExactScalar(-2))], strict=True)
 
 
 def test_chunk_lookup_round_trip(model_b):
