@@ -53,13 +53,15 @@ class ExactScalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rational, b: Rational = 0, d: int = 1):
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         if not isinstance(d, int) or d > MAX_RADICAND or not _is_square_free(d):
             raise DomainError(
                 f"radicand must be a square-free integer in [0, {MAX_RADICAND}], got {d!r}"
             )
-        if d == 1:
+        if d == 1 and b:
             a, b = a + b, Fraction(0)
         elif d == 0:
             b = Fraction(0)
@@ -94,22 +96,7 @@ class ExactScalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt(d), squared comparison is exact
-        t = a * a - b * b * self.d
-        if t == 0:
-            return 0
-        if a > 0:  # b < 0
-            return 1 if t > 0 else -1
-        return -1 if t > 0 else 1
+        return _sign(self.a, self.b, self.d)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -151,11 +138,20 @@ class ExactScalar:
     # -- comparisons ------------------------------------------------------
 
     def cmp(self, other) -> int:
-        """Exact three-way comparison; total order consistent with the reals."""
-        o = self._coerce(other)
-        if o is NotImplemented:
-            raise DomainError(f"cannot compare ExactScalar with {type(other).__name__}")
-        return (self - o).sign()
+        """Exact three-way comparison; total order consistent with the reals.
+
+        The sign of (a - a') + (b - b') sqrt(d), read off the parts.
+        """
+        if isinstance(other, ExactScalar):
+            if self.b != 0 and other.b != 0 and other.d != self.d:
+                raise DomainError(
+                    f"mismatched radicands: sqrt({self.d}) vs sqrt({other.d})"
+                )
+            d = self.d if self.b != 0 else other.d
+            return _sign(self.a - other.a, self.b - other.b, d)
+        if isinstance(other, (int, Fraction)):
+            return _sign(self.a - other, self.b, self.d)
+        raise DomainError(f"cannot compare ExactScalar with {type(other).__name__}")
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -203,6 +199,21 @@ class ExactScalar:
             return radical if self.b > 0 else f"-{radical}"
         op = "+" if self.b > 0 else "-"
         return f"{_fmt_rational(self.a)} {op} {radical}"
+
+
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b sqrt(d)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    # opposite signs: |a| vs |b|*sqrt(d), squared comparison is exact
+    t = a * a - b * b * d
+    if t == 0:
+        return 0
+    return 1 if (t > 0) == (a > 0) else -1
 
 
 def _fmt_rational(q: Fraction) -> str:

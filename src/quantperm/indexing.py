@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exactnum import ExactScalar
-from .multinomial import ValueTable, _coef
+from .multinomial import ValueTable
 from .outcomes import OutcomeModel
 
 
@@ -193,7 +193,7 @@ def _count_walk(
     # k - used.  Fixing the next chunk to outcome s1 + 1 multiplies that
     # coefficient by (k[s1] - used[s1]) / r, so r times the completions
     # with that next chunk is the exact sum of q * (k[s1] - used[s1]).
-    pairs = [(k, _coef(k)) for k in table.tau1_members(t)]  # one bulk tau1 scan
+    pairs = list(zip(table.tau1_members(t), table.coefs[t]))  # one bulk tau1 scan
     used = [0] * model.m
     steps: List[Tuple[int, int]] = []
     ell = 0

@@ -9,6 +9,15 @@ SMC_n(t) = sum_{u<t} gamma_{n,u} the strict cumulative count.  SMC runs
 from SMC(0) = 0 to SMC(T_n + 1) = m^n and the class cdf at value class t
 is SMC(t)/m^n (strict) or SMC(t+1)/m^n (inclusive).
 
+The table is built on an integer lattice.  With D the lcm of the
+outcomes' denominators, o_s = (A_s + B_s sqrt(d)) / D for integers A_s,
+B_s, so a composition's value is the integer pair (sum k_s A_s,
+sum k_s B_s), packed into one int.  The build groups K_n by that int
+and sorts only the distinct classes, by the plain int when no outcome
+has a radical part and otherwise by an exact integer key (_lattice_key).
+One ExactScalar is made per class; none per composition.  A table of
+more than MAX_COMPOSITIONS compositions is refused before enumeration.
+
 tau1 is the class-membership oracle: tau1(k, t) = 1 iff composition k
 lies in class t.  Algorithms downstream are measured by how many tau1
 queries they issue, so every query (including bulk scans over all of
@@ -19,11 +28,10 @@ deliberately not counted.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, prod
-from operator import itemgetter
+from math import comb, factorial, isqrt, lcm, prod
 from typing import Iterator, Sequence, Tuple
 
 from .errors import DomainError
@@ -32,10 +40,11 @@ from .outcomes import OutcomeModel
 
 Composition = Tuple[int, ...]
 
-
-@lru_cache(maxsize=None)
-def _coef(k: Composition) -> int:
-    return factorial(sum(k)) // prod(factorial(x) for x in k)
+# Largest |K_n| build_value_table enumerates.  It admits the 8-outcome
+# Haar model of perfbench/inputs/haar_m2.json at n = 21 (width 63,
+# 1,184,040 compositions, about 620 MB peak RSS for the whole table)
+# and refuses n = 22 (1,560,780).
+MAX_COMPOSITIONS = 1_200_000
 
 
 def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
@@ -45,7 +54,7 @@ def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
         raise DomainError(f"composition entries must be integers >= 0, got {key!r}")
     if sum(key) != n:
         raise DomainError(f"composition {key!r} sums to {sum(key)}, expected {n}")
-    return _coef(key)
+    return factorial(n) // prod(factorial(x) for x in key)
 
 
 def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
@@ -93,18 +102,20 @@ class ValueTable:
     """Sorted value classes of the n-fold sums of one model.
 
     Fields: values[t] (exact, strictly increasing), members[t] (the
-    compositions in class t, lex order), gammas[t], smc[0..T+1].
+    compositions in class t, lex order), coefs[t] (their multinomial
+    coefficients, aligned with members[t]), gammas[t], smc[0..T+1].
     width = n*(M+1) and num_indices = 2^width = m^n.
     """
 
-    def __init__(self, model: OutcomeModel, n: int, classes):
+    def __init__(self, model: OutcomeModel, n: int, values, members, coefs):
         self.model = model
         self.n = n
         self.width = n * (model.M + 1)
         self.num_indices = model.m**n
-        self.values = tuple(v for v, _ in classes)
-        self.members = tuple(tuple(ks) for _, ks in classes)
-        self.gammas = tuple(sum(_coef(k) for k in ks) for ks in self.members)
+        self.values = tuple(values)
+        self.members = tuple(members)
+        self.coefs = tuple(coefs)
+        self.gammas = tuple(map(sum, self.coefs))
         smc = [0]
         for g in self.gammas:
             smc.append(smc[-1] + g)
@@ -182,17 +193,88 @@ class ValueTable:
 
 
 def build_value_table(model: OutcomeModel, n: int) -> ValueTable:
-    """Enumerate K_n, group it by exact value, then sort the distinct values.
+    """Group K_n by its integer lattice value, then sort the distinct classes.
 
-    Enumeration is lex order, so each class lists its members in lex order.
+    Refused before enumeration when |K_n| > MAX_COMPOSITIONS.  Each
+    composition is a high half (its first m//2 parts) followed by a low
+    half, and each half carries its lattice code and multinomial
+    coefficient, so a composition costs one add and one multiply.  Every
+    high half in lex order, then every low half that completes it, is
+    lex order, so every class lists its members in lex order.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
-    classes: dict = {}
-    for k in enumerate_compositions(n, model.m):
-        value = model.zero()
-        for s1, count in enumerate(k):
-            if count:
-                value = value + model.outcomes[s1] * count
-        classes.setdefault(value, []).append(k)
-    return ValueTable(model, n, sorted(classes.items(), key=itemgetter(0)))
+    count = composition_count(n, model.m)
+    if count > MAX_COMPOSITIONS:
+        raise DomainError(
+            f"value table at n = {n} has {count} compositions, more than "
+            f"MAX_COMPOSITIONS = {MAX_COMPOSITIONS}"
+        )
+    den = lcm(*(q.denominator for o in model.outcomes for q in (o.a, o.b)))
+    A = [o.a.numerator * (den // o.a.denominator) for o in model.outcomes]
+    B = [o.b.numerator * (den // o.b.denominator) for o in model.outcomes]
+    bound = n * max(map(abs, A + B))
+    # the pair (a, b) is the int a * span + b: |b| <= bound < span / 2
+    span = 2 * bound + 1 if any(B) else 1
+    code = [a * span + b for a, b in zip(A, B)]
+    h = model.m // 2
+    # a high half with an (h+1)-th slack part r, then a composition of r:
+    # k's multinomial coefficient is the product of the halves' ones
+    low = [_lattice_half(r, code[h:]) for r in range(n + 1)]
+    classes = defaultdict(list)  # code -> [k, coef(k), k', coef(k'), ...]
+    for hk, hcode, hcoef in _lattice_half(n, code[:h] + [0]):
+        r = hk[h]
+        hk = hk[:h]
+        for lk, lcode, lcoef in low[r]:
+            entry = classes[hcode + lcode]
+            entry.append(hk + lk)
+            entry.append(hcoef * lcoef)
+    if span == 1:
+        order = keys = sorted(classes)
+    else:
+        keyed = sorted((_lattice_key(c, span, bound, model.d), c) for c in classes)
+        keys = [key for key, _ in keyed]
+        order = [c for _, c in keyed]
+    assert all(x < y for x, y in zip(keys, keys[1:])), "lattice keys must be distinct"
+    values, members, coefs = [], [], []
+    for c in order:
+        a, b = _unpack(c, span, bound)
+        values.append(ExactScalar(Fraction(a, den), Fraction(b, den), model.d))
+        entry = classes.pop(c)
+        members.append(tuple(entry[0::2]))
+        coefs.append(tuple(entry[1::2]))
+    return ValueTable(model, n, values, members, coefs)
+
+
+def _lattice_half(r: int, code: Sequence[int]):
+    """(k, lattice code, multinomial coefficient) of every composition k
+    of r into len(code) parts, in lex order."""
+    top = factorial(r)
+    return [
+        (k, sum(map(int.__mul__, k, code)), top // prod(map(factorial, k)))
+        for k in enumerate_compositions(r, len(code))
+    ]
+
+
+def _unpack(c: int, span: int, bound: int) -> Tuple[int, int]:
+    """The lattice pair (a, b) packed in c = a * span + b."""
+    if span == 1:
+        return c, 0
+    b = (c + bound) % span - bound
+    return (c - b) // span, b
+
+
+def _lattice_key(c: int, span: int, bound: int, d: int) -> int:
+    """Exact integer sort key of the lattice pair (a, b) packed in c.
+
+    kappa = a 2^p + sign(b) isqrt(d b^2 4^p) is within 1 of
+    (a + b sqrt(d)) 2^p.  Two distinct pairs with |a|, |b| <= bound differ
+    in value by at least 1 / (2 bound (1 + sqrt(d))), because a^2 - d b^2
+    of their difference is a nonzero integer.  As bound < 2^bitlen(bound)
+    and 1 + sqrt(d) < 2^(bitlen(isqrt(d)) + 1), the p below makes that gap,
+    times 2^p, larger than 2, so distinct values get strictly ordered keys.
+    """
+    a, b = _unpack(c, span, bound)
+    p = bound.bit_length() + isqrt(d).bit_length() + 3
+    root = isqrt(d * b * b << 2 * p)
+    return (a << p) + (root if b > 0 else -root)

@@ -168,6 +168,14 @@ def test_level_listings_refused_beyond_explicit_width(capsys, tmp_path, time_lim
         assert "n(M+1) <= 24" in err, argv
 
 
+def test_table_beyond_composition_budget_refused(capsys, time_limit):
+    # B at n = 400 has C(403, 3) = 10,866,401 compositions
+    with time_limit(1):
+        code, out, err = run(capsys, "table", "--model", "builtin:B", "--n", "400")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "MAX_COMPOSITIONS" in err
+
+
 def test_beta_json_includes_alpha(capsys):
     code, out, _ = run(
         capsys, "beta", "--model", "builtin:B", "--n", "2",

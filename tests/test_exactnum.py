@@ -75,6 +75,29 @@ def test_cmp_examples():
     assert R2(0, 1) < 2 and R2(0, 1) > 1
 
 
+def test_cmp_matches_sign_of_difference():
+    """cmp reads the order off the parts; it must agree with the sign of
+    the difference scalar on every pair, including exact ties, mixed
+    signs and rational scalars against irrational ones."""
+    parts = [-2, Fraction(-3, 2), -1, 0, Fraction(1, 3), 1, Fraction(7, 5), 2]
+    grid = [ExactScalar(a) for a in parts]
+    for d in (2, 3):
+        grid += [ExactScalar(a, b, d) for a in parts for b in parts if b != 0]
+    grid += [ExactScalar(3, -2, 2), ExactScalar(2, -1, 3), ExactScalar(-4, 2, 3)]
+    compared = 0
+    for x in grid:
+        for y in grid:
+            if x.b != 0 and y.b != 0 and x.d != y.d:
+                with pytest.raises(DomainError):
+                    x.cmp(y)
+                continue
+            assert x.cmp(y) == (x - y).sign(), (x, y)
+            compared += 1
+        for q in (0, -1, Fraction(5, 4)):
+            assert x.cmp(q) == (x - q).sign()
+    assert compared > 5_000
+
+
 def test_mismatched_radicands_raise():
     x = ExactScalar(1, 1, 2)
     y = ExactScalar(1, 1, 3)

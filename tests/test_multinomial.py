@@ -6,7 +6,9 @@ and irrational sums, so getting it right requires the exact comparisons
 (floats agree here, but the test asserts the exact path produces it).
 """
 
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,11 @@ from quantperm import (
     ExactScalar,
     HaarSpec,
     build_haar,
+    build_manual,
     build_value_table,
     composition_count,
     enumerate_compositions,
+    load_model,
     multinomial_coefficient,
 )
 
@@ -115,7 +119,21 @@ def test_monotone_values(tables):
         tables(name, n)
         for name, n in (("A", 6), ("B", 3), ("B", 8), ("C", 3), ("C", 5))
     ]
+    # Q(sqrt 3) with outcome denominators 2, 3 and 5: the lattice scales
+    # by D = 30 and orders the classes by the d > 1 integer key
+    root3 = build_manual(
+        1,
+        [
+            ((0, 0), ExactScalar(Fraction(1, 2), Fraction(-1, 3), 3)),
+            ((0, 1), ExactScalar(Fraction(-3, 5), Fraction(1, 2), 3)),
+            ((1, 0), ExactScalar(Fraction(2, 3))),
+            ((1, 1), ExactScalar(0, Fraction(-1, 5), 3)),
+        ],
+        strict=False,
+    )
+    assert root3.d == 3
     cases += [build_value_table(haar, n) for n in range(1, 5)]
+    cases += [build_value_table(root3, n) for n in range(1, 9)]
     for table in cases:
         model = table.model
         for t in range(table.T):
@@ -127,6 +145,26 @@ def test_monotone_values(tables):
                     total = total + model.outcome(s) * count
                 assert total == table.values[t]
             assert all(a < b for a, b in zip(ks, ks[1:]))
+
+
+def test_table_digests_pinned(model_a, model_b, model_c):
+    """SHA-256 over (n, value texts, members, gammas, smc) for n = 1..n_max,
+    pinned from the tables of the ExactScalar build that the integer
+    lattice build replaced."""
+    haar_m2 = load_model(str(Path(__file__).resolve().parents[1] / "perfbench/inputs/haar_m2.json"))
+    pins = {
+        "A": (model_a, 64, "434fdc2a79fcbba66b8f180a2891b043e4271e774d52eb18b25370d8778f5ece"),
+        "B": (model_b, 32, "9ebd53745fef9d44e7fc76396586832ee807c27a02eb24a5ddd8d48b0c35ed5d"),
+        "C": (model_c, 12, "0c3f8dd97d0e830e9ad5d56a2898fba299fdb838b217eb028126652a8ab9490b"),
+        "haar_m2": (haar_m2, 10, "6e023870efbde800945d897769bb6ff1faa8dcb936750c389e4eadaf3fcb606a"),
+    }
+    for name, (model, n_max, pinned) in pins.items():
+        h = hashlib.sha256()
+        for n in range(1, n_max + 1):
+            table = build_value_table(model, n)
+            texts = tuple(v.text() for v in table.values)
+            h.update(repr((n, texts, table.members, table.gammas, table.smc)).encode())
+        assert h.hexdigest() == pinned, name
 
 
 def test_tau1_and_counting(tables):
