@@ -44,7 +44,6 @@ class BenchRecord:
     n: int
     operation: str
     tau1_queries: int
-    tau2_queries: int
     bigint_ops: int
     wall_time: float
 
@@ -96,10 +95,7 @@ def bench_scaling(
             d = table.stats.delta(before)
             total_queries += d.tau1_queries
             records.append(
-                BenchRecord(
-                    model_id, n, "fperm", d.tau1_queries, d.tau2_queries,
-                    d.bigint_ops, dt,
-                )
+                BenchRecord(model_id, n, "fperm", d.tau1_queries, d.bigint_ops, dt)
             )
         means.append((n, total_queries / samples_per_n))
         width = table.width
@@ -109,7 +105,7 @@ def bench_scaling(
             dt = time.perf_counter() - t0
         else:
             dt = 0.0  # cost recorded, sweep not executed
-        records.append(BenchRecord(model_id, n, "brute-sweep", 0, 0, 2**width, dt))
+        records.append(BenchRecord(model_id, n, "brute-sweep", 0, 2**width, dt))
     slope = fit_loglog_slope(means)
     return BenchResult(records, slope, means)
 

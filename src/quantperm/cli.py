@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .bench import bench_scaling, selftest
 from .errors import DomainError
@@ -46,7 +46,7 @@ from .permutations import (
     inv_f,
     random_admissible,
 )
-from .representation import clt_table, representation_from_perm
+from .representation import _decoded_rows, clt_table, representation_from_perm
 
 
 def _load(spec: str) -> OutcomeModel:
@@ -55,7 +55,7 @@ def _load(spec: str) -> OutcomeModel:
     return load_model(spec)
 
 
-def _emit(lines: List[str]):
+def _emit(lines: Iterable[str]):
     for line in lines:
         print(line)
 
@@ -167,10 +167,10 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _levels(args, table: ValueTable) -> List[int]:
+def _levels(args, table: ValueTable) -> Sequence[int]:
     if args.all:
         _require_explicit(table.width, "--all listings")
-        return list(range(table.num_indices))
+        return range(table.num_indices)
     if args.ell is None:
         raise DomainError("need --ell L or --all")
     return [args.ell]
@@ -239,28 +239,24 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_fperm(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
-    levels = _levels(args, table)
-    rows = [(ell, f_perm(table, ell)) for ell in levels]
-    return _emit_pairs(args, rows, single=not args.all)
+    return _emit_pairs(args, f_perm)
 
 
 def _cmd_invf(args) -> int:
+    return _emit_pairs(args, inv_f)
+
+
+def _emit_pairs(args, fn) -> int:
+    """fn at the addressed levels: one value, or streamed 'ell,value' rows."""
     model = _load(args.model)
     table = build_value_table(model, args.n)
-    levels = _levels(args, table)
-    rows = [(ell, inv_f(table, ell)) for ell in levels]
-    return _emit_pairs(args, rows, single=not args.all)
-
-
-def _emit_pairs(args, rows, single: bool) -> int:
+    rows = ((ell, fn(table, ell)) for ell in _levels(args, table))
     if args.format == "json":
         print(json.dumps([[e, v] for e, v in rows]))
-    elif single:
-        print(rows[0][1])
+    elif args.all:
+        _emit(f"{e},{v}" for e, v in rows)
     else:
-        _emit([f"{e},{v}" for e, v in rows])
+        print(next(rows)[1])
     return 0
 
 
@@ -288,10 +284,17 @@ def _cmd_count(args) -> int:
     model = _load(args.model)
     table = build_value_table(model, args.n)
     count = count_admissible(table)
+    # MAX_COUNT_BITS admits about 1.3M digits, past Python's text limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
     if args.format == "json":
-        print(json.dumps({"count": _json_int(count)}))
+        print(json.dumps({"count": text}))
     else:
-        print(count)
+        print(text)
     return 0
 
 
@@ -302,7 +305,7 @@ def _cmd_random(args) -> int:
     if args.format == "json":
         print(json.dumps([[e, v] for e, v in perm.pairs()]))
     else:
-        _emit([f"{e},{v}" for e, v in perm.pairs()])
+        _emit(f"{e},{v}" for e, v in perm.pairs())
     return 0
 
 
@@ -314,18 +317,17 @@ def _cmd_repr(args) -> int:
     else:
         perm = canonical_permutation(table)
     rep = representation_from_perm(table, perm)
+    rows = _decoded_rows(table, rep.levels)
     if args.format == "json":
-        doc = [
-            {"ell": ell, "ranks": list(row)}
-            for ell, row in enumerate(rep.rows)
-        ]
+        doc = [{"ell": ell, "ranks": list(row)} for ell, row in enumerate(rows)]
         print(json.dumps(doc))
     else:
-        lines = []
-        for ell, row in enumerate(rep.rows):
-            for i, s in enumerate(row, start=1):
-                lines.append(f"{ell},{i},{s},{model.outcome(s).text()}")
-        _emit(lines)
+        text = {s: model.outcome(s).text() for s in range(1, model.m + 1)}
+        _emit(
+            f"{ell},{i},{s},{text[s]}"
+            for ell, row in enumerate(rows)
+            for i, s in enumerate(row, start=1)
+        )
     return 0
 
 
@@ -371,7 +373,6 @@ def _cmd_bench(args) -> int:
                     "n": r.n,
                     "operation": r.operation,
                     "tau1_queries": _json_int(r.tau1_queries),
-                    "tau2_queries": _json_int(r.tau2_queries),
                     "bigint_ops": _json_int(r.bigint_ops),
                     "wall_time": r.wall_time if show_time else 0.0,
                 }
@@ -385,7 +386,7 @@ def _cmd_bench(args) -> int:
             wt = f"{r.wall_time:.6f}" if show_time else "0.000000"
             lines.append(
                 f"{r.model_id},{r.n},{r.operation},{r.tau1_queries},"
-                f"{r.tau2_queries},{r.bigint_ops},{wt}"
+                f"{r.bigint_ops},{wt}"
             )
         lines.append(f"slope,{result.slope:.4f}")
         _emit(lines)

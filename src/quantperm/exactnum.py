@@ -91,9 +91,6 @@ class ExactScalar:
 
     # -- predicates -------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
         return _sign(self.a, self.b, self.d)

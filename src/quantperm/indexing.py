@@ -112,15 +112,11 @@ def is_star(table: ValueTable, ell: int) -> ExactScalar:
     return table.values[istep(table, ell)]
 
 
-def tau2(
-    model: OutcomeModel, n: int, s: int, ell: int, b: int, stats=None
-) -> int:
+def tau2(model: OutcomeModel, n: int, s: int, ell: int, b: int) -> int:
     """How many chunks i in (b, n] of ell decode to outcome rank s."""
     if not 0 <= b <= n:
         raise DomainError(f"chunk bound {b} out of range [0, {n}]")
     model._check_rank(s)
-    if stats is not None:
-        stats.tau2_queries += 1
     svec = decode_weight_index(model, n, ell)
     return sum(1 for i in range(b, n) if svec[i] == s)
 

@@ -79,21 +79,18 @@ class OracleStats:
     """Deterministic query tallies."""
 
     tau1_queries: int = 0
-    tau2_queries: int = 0
     bigint_ops: int = 0
 
     def reset(self):
         self.tau1_queries = 0
-        self.tau2_queries = 0
         self.bigint_ops = 0
 
     def snapshot(self) -> "OracleStats":
-        return OracleStats(self.tau1_queries, self.tau2_queries, self.bigint_ops)
+        return OracleStats(self.tau1_queries, self.bigint_ops)
 
     def delta(self, earlier: "OracleStats") -> "OracleStats":
         return OracleStats(
             self.tau1_queries - earlier.tau1_queries,
-            self.tau2_queries - earlier.tau2_queries,
             self.bigint_ops - earlier.bigint_ops,
         )
 
@@ -162,18 +159,9 @@ class ValueTable:
                 f"{key!r} is not a composition of {self.n} into {self.model.m} parts"
             ) from None
 
-    def value(self, t: int) -> ExactScalar:
-        self._check_class(t)
-        return self.values[t]
-
     def gamma(self, t: int) -> int:
         self._check_class(t)
         return self.gammas[t]
-
-    def smc_at(self, t: int) -> int:
-        if not 0 <= t <= self.T + 1:
-            raise DomainError(f"class index {t} out of range [0, {self.T + 1}]")
-        return self.smc[t]
 
     def cdf(self, t: int, mode: str = "leq") -> Fraction:
         """P(S <= v_t) for mode 'leq', P(S < v_t) for mode 'lt'; exact."""

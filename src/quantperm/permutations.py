@@ -42,6 +42,10 @@ from .indexing import (
 )
 from .multinomial import ValueTable
 
+# count_admissible refuses a table whose sum_t gamma_t * bitlen(gamma_t), a
+# bound on the bits of prod_t gamma_t!, is larger.
+MAX_COUNT_BITS = 2**22
+
 
 def f_perm(table: ValueTable, ell: int) -> int:
     """F_n(ell): the istep(ell)-class member of matching within-class rank."""
@@ -207,7 +211,13 @@ def verify_admissible(table: ValueTable, perm: PermLike) -> bool:
 
 
 def count_admissible(table: ValueTable) -> int:
-    """prod_t gamma_{n,t}!  (exact big integer)."""
+    """prod_t gamma_{n,t}!  (exact big integer), within MAX_COUNT_BITS."""
+    bits = sum(g * g.bit_length() for g in table.gammas)
+    if bits > MAX_COUNT_BITS:
+        raise DomainError(
+            f"count at n = {table.n} may need {bits} bits, "
+            f"more than MAX_COUNT_BITS = {MAX_COUNT_BITS}"
+        )
     return prod(factorial(g) for g in table.gammas)
 
 

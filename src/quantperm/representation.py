@@ -15,12 +15,14 @@ Three invariants characterize these arrays:
               sequence exactly once.
 
 Conversely, any array with rows drawn bijectively from the outcome
-sequences recovers its permutation by re-encoding each row, so
-representations and admissible permutations are in bijection.  The
-invariants are checked that way: the rows must re-encode to an
-admissible mapping (a row sums to IS*_n(ell) iff its class is
-istep(ell), and admissibility includes the bijection, which implies the
-marginals).
+sequences recovers its permutation by encoding each row, so
+representations and admissible permutations are in bijection.  A
+Representation is stored as that level mapping alone and decodes its
+rows when they are read; rows given by a caller are encoded once, and a
+malformed row is refused there.  The invariants are checked on the
+mapping: it must be admissible (a row sums to IS*_n(ell) iff its class
+is istep(ell), and admissibility includes the bijection, which implies
+the marginals).
 
 clt_table compares the exact quantile cdf against the standard normal
 cdf on the standardized grid z_t = v_t / (theta sqrt(n)); the sup
@@ -33,10 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .indexing import _require_explicit, decoded_vectors
+from .indexing import _require_explicit, decode_weight_index
 from .multinomial import ValueTable
 from .permutations import (
     AdmissiblePermutation,
@@ -48,17 +50,22 @@ from .permutations import (
 
 
 class Representation:
-    """Outcome-rank array; rows indexed by level, columns 1..n."""
+    """Outcome-rank array; row ell is decode(levels[ell]), columns 1..n."""
 
-    def __init__(self, table: ValueTable, rows: Sequence[Tuple[int, ...]]):
+    def __init__(self, table: ValueTable, rows: Iterable[Sequence[int]]):
+        _require_explicit(table.width)
         self.table = table
         self.n = table.n
-        self.rows = tuple(map(tuple, rows))
+        self.levels = tuple(_row_levels(table, rows))
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(_decoded_rows(self.table, self.levels))
 
     def row(self, ell: int) -> Tuple[int, ...]:
-        if not 0 <= ell < len(self.rows):
-            raise DomainError(f"level index {ell} out of range [0, {len(self.rows)})")
-        return self.rows[ell]
+        if not 0 <= ell < len(self.levels):
+            raise DomainError(f"level index {ell} out of range [0, {len(self.levels)})")
+        return decode_weight_index(self.table.model, self.n, self.levels[ell])
 
     def entry(self, i: int, ell: int) -> int:
         """IR(i, ell): outcome rank of summand i at level ell (i is 1-based)."""
@@ -68,35 +75,33 @@ class Representation:
         return r[i - 1]
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.levels)
 
     def __eq__(self, other):
         if isinstance(other, Representation):
-            return self.rows == other.rows
+            return self.levels == other.levels
         return NotImplemented
 
     def __repr__(self):
-        return f"Representation(n={self.n}, levels={len(self.rows)})"
+        return f"Representation(n={self.n}, levels={len(self.levels)})"
 
 
 def representation_from_perm(table: ValueTable, perm: PermLike) -> Representation:
-    """Decode pi(ell) for every level; rejects inadmissible permutations."""
+    """The representation of pi; rejects inadmissible permutations."""
     _require_explicit(table.width)
     reason = admissibility_failure(table, perm)
     if reason is not None:
         raise DomainError(f"permutation is not admissible: {reason}")
-    mapping = _as_mapping(perm)
-    dec = decoded_vectors(table)
-    return Representation(table, [dec[ellp] for ellp in mapping])
+    rep = Representation.__new__(Representation)  # the mapping needs no encoding
+    rep.table, rep.n, rep.levels = table, table.n, tuple(_as_mapping(perm))
+    return rep
 
 
 def perm_from_representation(
     table: ValueTable, rep: Representation
 ) -> AdmissiblePermutation:
-    """Re-encode the rows back into the unique underlying permutation."""
-    _require_explicit(table.width)
-    mapping = _row_levels(table, rep.rows)
-    return AdmissiblePermutation(table, mapping, blocks_of(table, mapping))
+    """The unique permutation underlying rep: its level mapping."""
+    return AdmissiblePermutation(table, rep.levels, blocks_of(table, rep.levels))
 
 
 def representation_failure(
@@ -104,43 +109,48 @@ def representation_failure(
 ) -> Optional[str]:
     """None if the three invariants hold, else a one-line reason.
 
-    The rows must re-encode to a mapping that admissibility_failure
-    accepts (row sums and bijection, exhaustively).  thorough is kept for
-    callers and changes nothing: a bijection onto all m^n outcome sequences
-    puts every rank in every column m^(n-1) times, so a direct tally of
-    the marginals could never fail.
+    The level mapping must pass admissibility_failure (row sums and
+    bijection, exhaustively).  thorough is kept for callers and changes
+    nothing: a bijection onto all m^n outcome sequences puts every rank
+    in every column m^(n-1) times, so a direct tally of the marginals
+    could never fail.
     """
-    try:
-        mapping = _row_levels(table, rep.rows)
-    except DomainError as exc:
-        return str(exc)
-    return admissibility_failure(table, mapping)
+    return admissibility_failure(table, rep.levels)
 
 
-def _row_levels(table: ValueTable, rows: Sequence[Tuple[int, ...]]) -> List[int]:
-    """The level each row decodes from; DomainError on a malformed row.
+def _half_rows(table: ValueTable):
+    """Every high (first n//2 ranks) and low half-row, and the low half's
+    bit width: row ell is hi[ell >> shift] + lo[ell & mask], because
+    product order is level order."""
+    lut = table.model._index_of_chunk
+    h = table.n // 2
+    shift = (table.n - h) * (table.model.M + 1)
+    return list(product(lut, repeat=h)), list(product(lut, repeat=table.n - h)), shift
 
-    A row is its high n//2 ranks followed by its low n - n//2 ranks, and
-    product order is level order, so each half's level code is its
-    position in the product of outcome ranks: one dict lookup per half.
-    A row of the wrong length or with a non-rank entry misses a dict.
+
+def _decoded_rows(table: ValueTable, levels: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+    hi, lo, shift = _half_rows(table)
+    mask = (1 << shift) - 1
+    return (hi[ell >> shift] + lo[ell & mask] for ell in levels)
+
+
+def _row_levels(table: ValueTable, rows: Iterable[Sequence[int]]) -> List[int]:
+    """The level each row decodes from, by one dict lookup per half-row.
+
+    DomainError on a malformed row: a row of the wrong length or with a
+    non-rank entry misses a dict.
     """
-    model = table.model
-    lut = model._index_of_chunk
-    n = table.n
-    h = n // 2
-    hi, lo = (
-        {ranks: code for code, ranks in enumerate(product(lut, repeat=r))}
-        for r in (h, n - h)
-    )
-    shift = (n - h) * (model.M + 1)
+    hi, lo, shift = _half_rows(table)
+    hi, lo = ({ranks: code for code, ranks in enumerate(half)} for half in (hi, lo))
+    h = table.n // 2
     levels = []
     for ell, row in enumerate(rows):
         try:
-            levels.append(hi[row[:h]] << shift | lo[row[h:]])
-        except (KeyError, TypeError):  # TypeError: an unhashable entry
+            ranks = tuple(row)
+            levels.append(hi[ranks[:h]] << shift | lo[ranks[h:]])
+        except (KeyError, TypeError):  # TypeError: not iterable, or unhashable
             raise DomainError(
-                f"row {ell} is {row!r}, not {n} outcome ranks in [1, {model.m}]"
+                f"row {ell} is {row!r}, not {table.n} outcome ranks in [1, {table.model.m}]"
             ) from None
     return levels
 

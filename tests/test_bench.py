@@ -1,4 +1,9 @@
-"""Scaling benchmarks and the structural self-test battery."""
+"""Scaling benchmarks, the structural self-test battery, and the
+functions the traced benchmark run wraps."""
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +109,14 @@ def test_check_counts_are_honest():
     assert by_name["beta-equivalence"].checked == (table.T + 1) * 2**3
     assert by_name["f-admissible"].checked == 2**3
     assert by_name["gamma-sum"].detail == "sum=8, m^n=8"
+
+
+def test_traced_functions_exist():
+    # perfbench/run.py --trace 1 wraps each of these; a missing one breaks it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name in tracer.TRACED:
+        mod = importlib.import_module(f"quantperm.{module}")
+        assert callable(getattr(mod, name, None)), (module, name)

@@ -5,6 +5,8 @@ the contract (everything except bench wall times).
 """
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -174,6 +176,30 @@ def test_table_beyond_composition_budget_refused(capsys, time_limit):
         code, out, err = run(capsys, "table", "--model", "builtin:B", "--n", "400")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "MAX_COMPOSITIONS" in err
+
+
+def test_count_past_int_text_limit(capsys):
+    # A at n = 12: 9,535 digits, more than Python's default 4,300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--model", "builtin:A", "--n", "12")
+    assert code == 0 and err == ""
+    want = math.prod(math.factorial(math.comb(12, k)) for k in range(13))
+    assert len(out) == 9536
+    assert out[:50] == str(want // 10**9485)
+    assert out[9485:] == str(want % 10**50).zfill(50) + "\n"
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run(
+        capsys, "count", "--model", "builtin:A", "--n", "12", "--format", "json"
+    )
+    assert code == 0 and len(json.loads(out)["count"]) == 9535
+
+
+def test_count_beyond_bit_budget_refused(capsys, time_limit):
+    # A at n = 64: the product reaches C(64, 32)!, far past any memory
+    with time_limit(1):
+        code, out, err = run(capsys, "count", "--model", "builtin:A", "--n", "64")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "MAX_COUNT_BITS" in err
 
 
 def test_beta_json_includes_alpha(capsys):

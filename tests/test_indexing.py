@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from quantperm import (
     DomainError,
+    Representation,
     alpha,
     beta_bruteforce,
     beta_fast,
@@ -33,7 +34,7 @@ from quantperm import (
     tau2,
 )
 from quantperm.indexing import decoded_vectors, step_classes, weight_classes
-from quantperm.multinomial import OracleStats, composition_count
+from quantperm.multinomial import composition_count
 from quantperm.permutations import weight_class_lists
 
 
@@ -100,13 +101,11 @@ def test_is_star_is_sorted_rearrangement(tables):
 
 
 def test_tau2(model_b):
-    stats = OracleStats()
-    assert tau2(model_b, 2, 4, 0, 0, stats) == 2
-    assert tau2(model_b, 2, 4, 0, 1, stats) == 1
-    assert tau2(model_b, 2, 4, 0, 2, stats) == 0
-    assert tau2(model_b, 2, 1, 0, 0, stats) == 0
-    assert tau2(model_b, 2, 2, 0b1011, 0, stats) == 1
-    assert stats.tau2_queries == 5
+    assert tau2(model_b, 2, 4, 0, 0) == 2
+    assert tau2(model_b, 2, 4, 0, 1) == 1
+    assert tau2(model_b, 2, 4, 0, 2) == 0
+    assert tau2(model_b, 2, 1, 0, 0) == 0
+    assert tau2(model_b, 2, 2, 0b1011, 0) == 1
     with pytest.raises(DomainError):
         tau2(model_b, 2, 5, 0, 0)
     with pytest.raises(DomainError):
@@ -324,3 +323,5 @@ def test_beta_bruteforce_refused_beyond_explicit_width(tables, time_limit):
     for build in (weight_classes, step_classes, decoded_vectors):
         with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
             build(table)
+    with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
+        Representation(table, [])

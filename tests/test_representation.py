@@ -18,8 +18,10 @@ from quantperm import (
     Representation,
     build_manual,
     build_value_table,
+    builtin_model,
     canonical_permutation,
     clt_table,
+    decode_weight_index,
     is_star,
     normal_cdf,
     perm_from_representation,
@@ -119,16 +121,27 @@ def test_failure_reasons(tables):
     assert not verify_representation(table, bad)
     short = Representation(table, rows[:2])
     assert "expected" in representation_failure(table, short)
-    # malformed rows: too short ((1,) packed chunk by chunk is the level
-    # of (2, 1)), too long, a rank out of range, non-rank entries
+    # malformed rows are refused at construction: too short ((1,) packed
+    # chunk by chunk would be the level of (2, 1)), too long, a rank out
+    # of range, non-rank entries
     for bad_row in ((1,), (2, 1, 1), (0, 1), (1, "x"), (1, [2])):
         rows = list(good.rows)
         rows[1] = bad_row
-        bad = Representation(table, rows)
-        for thorough in (False, True):
-            assert representation_failure(table, bad, thorough) is not None
-        with pytest.raises(DomainError):
-            perm_from_representation(table, bad)
+        with pytest.raises(DomainError, match="row 1 is"):
+            Representation(table, rows)
+
+
+def test_stored_as_level_mapping():
+    # a fresh table: the shared fixture's tables may hold other caches
+    table = build_value_table(builtin_model("A"), 10)
+    perm = canonical_permutation(table)
+    rep = representation_from_perm(table, perm)
+    assert representation_failure(table, rep) is None
+    assert rep.levels == perm.mapping
+    assert "decoded_vectors" not in table._cache
+    for ell in (0, 1, 511, 1023):
+        assert rep.row(ell) == decode_weight_index(table.model, 10, perm(ell))
+    assert Representation(table, rep.rows) == rep
 
 
 def test_normal_cdf_against_high_precision():
