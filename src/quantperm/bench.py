@@ -158,7 +158,8 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     ) and all(table.smc[t] < table.smc[t + 1] for t in range(table.T + 1))
     out.append(_result("table-monotone", n, table.T + 1, mono))
 
-    # exhaustive fast-vs-sweep beta agreement and the partition identity
+    # exhaustive fast-vs-sweep beta agreement, and the partition identity
+    # on the fast values: sum_t beta_fast(t, xi) = xi + 1
     wc = weight_classes(table)
     counts = [0] * (table.T + 1)
     bad_beta = 0
@@ -166,24 +167,24 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     checked = 0
     for xi in range(table.num_indices):
         counts[wc[xi]] += 1
-        for t in range(table.T + 1):
-            checked += 1
-            if beta_fast(table, t, xi) != counts[t]:
-                bad_beta += 1
-        if sum(counts) != xi + 1:
+        betas = [beta_fast(table, t, xi) for t in range(table.T + 1)]
+        checked += len(betas)
+        bad_beta += sum(1 for b, c in zip(betas, counts) if b != c)
+        if sum(betas) != xi + 1:
             bad_partition += 1
     out.append(_result("beta-equivalence", n, checked, bad_beta == 0))
     out.append(
         _result("beta-partition", n, table.num_indices, bad_partition == 0)
     )
 
-    # full-range alpha and beta both recover gamma
+    # full-range alpha and beta both recover gamma; betas is the last
+    # row of the loop, beta_fast(t, top)
     top = table.num_indices - 1
     bad = sum(
         1
         for t in range(table.T + 1)
         if alpha(table, t, top) != table.gammas[t]
-        or counts[t] != table.gammas[t]
+        or betas[t] != table.gammas[t]
     )
     out.append(_result("alpha-beta-gamma", n, table.T + 1, bad == 0))
 

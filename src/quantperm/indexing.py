@@ -27,13 +27,21 @@ same loop: ranking and unranking multiset permutations are one descent
 run in two directions.  The loop fixes the chunks one at a time, most
 significant first, and carries every class-t composition that still
 extends the fixed prefix together with its number of completions.
-Ranking adds, at every 1-bit zeta of xi, the class-t levels that share
-bits 1..zeta-1 with xi, have bit zeta = 0 and are free afterwards;
-unranking steps into the chunk value whose cumulative count reaches s.
-The class is known only through the tau1 oracle: each beta_fast or
-enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
-over K_n (|K_n| counted queries) and then only counts, so the query
-total is polynomial in n for fixed M.
+Ranking adds to one running count, at every 1-bit zeta of xi, the
+class-t levels that share bits 1..zeta-1 with xi, have bit zeta = 0 and
+are free afterwards; unranking steps into the chunk value whose
+cumulative count reaches s.  The class is known only through the tau1
+oracle: each beta_fast or enum_b call (so each f_perm or inv_f) makes
+exactly one bulk tau1 scan over K_n (|K_n| counted queries) and then
+only counts, so the query total is polynomial in n for fixed M.
+
+A rank also keeps one checkpoint per class in the table's cache: its
+state on entering the last chunk, or where the class ran out.  A later
+rank of the same class whose top chunks match starts from there, so
+ranks of neighbouring levels (an exhaustive sweep, or gamma_relation
+after inv_f) count only what differs.  It still pays its bulk tau1 scan;
+table.stats.bigint_ops counts only the arithmetic it does.  Unranking
+and beta_fast_trace always walk from chunk 1.
 """
 
 from __future__ import annotations
@@ -151,31 +159,48 @@ def beta_fast(table: ValueTable, t: int, xi: int) -> int:
     """beta by ranking xi in the counting loop; one bulk tau1 scan."""
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
-    _, steps, self_term = _count_walk(table, t, xi=xi)
-    return sum(c for _, c in steps) + self_term
+    return _count_walk(table, t, xi=xi)[1]
 
 
 def beta_fast_trace(table: ValueTable, t: int, xi: int) -> BetaWalk:
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
-    _, steps, self_term = _count_walk(table, t, xi=xi)
-    return BetaWalk(t, xi, sum(c for _, c in steps) + self_term, self_term, steps)
+    steps: List[Tuple[int, int]] = []
+    total = _count_walk(table, t, xi=xi, steps=steps)[1]
+    return BetaWalk(t, xi, total, total - sum(c for _, c in steps), steps)
 
 
 def _count_walk(
-    table: ValueTable, t: int, xi: Optional[int] = None, s: int = 0
-) -> Tuple[int, List[Tuple[int, int]], int]:
+    table: ValueTable,
+    t: int,
+    xi: Optional[int] = None,
+    s: int = 0,
+    steps: Optional[List[Tuple[int, int]]] = None,
+) -> Tuple[int, int]:
     """The counting loop over the class-t compositions, chunk by chunk.
 
     Rank (xi given): walk the chunks of xi and, at every 1-bit zeta of
-    xi, count the class-t levels that agree with xi on bits 1..zeta-1
-    and have bit zeta = 0.  Unrank (xi None): at every chunk take the
-    smallest chunk value whose cumulative count of class-t completions
-    reaches s, and take the counts of the values passed over off s.
+    xi, add to one running count the class-t levels that agree with xi
+    on bits 1..zeta-1 and have bit zeta = 0; a list passed as steps
+    also receives (zeta, that count) at every 1-bit, zeros included
+    once the class has run out.  Unrank (xi None): at every chunk take
+    the smallest chunk value whose cumulative count of class-t
+    completions reaches s, and take the counts of the values passed
+    over off s.
 
-    Returns (level walked, [(zeta, count)] at the 1-bits of a rank walk,
-    1 if the level walked lies in class t else 0).  The class is known
-    only through one bulk tau1 scan; everything after it is counting.
+    Returns (level walked, count): for a rank walk the count is
+    beta(t, xi), the running count plus 1 if xi lies in class t.
+
+    A rank walk without steps resumes from, and then replaces, the
+    class's checkpoint in table._cache: the walk's state on entering the
+    last chunk, or where no class-t composition extends the prefix any
+    more, taken by the last such walk of class t.  It holds the depth i,
+    the top i chunks of xi, the count so far, the live (k, q) pairs and
+    used, and a later xi with the same top i chunks starts from it.  On
+    entering the last chunk k - used is a unit vector, so at most m
+    pairs are live: the checkpoints of a table hold O((T+1) m) pairs.
+    Unrank and traced walks neither read nor write it.  Every call,
+    resumed or not, makes the one bulk tau1 scan of the class.
     """
     model = table.model
     n = table.n
@@ -183,27 +208,39 @@ def _count_walk(
     mask = model.m - 1
     lut = model._index_of_chunk
     stats = table.stats
-    # (k, q) for every class-t composition k that extends the chunks
-    # fixed so far, whose outcome counts are in used; q is the number of
-    # ways to fill the r chunks left, the multinomial coefficient of
-    # k - used.  Fixing the next chunk to outcome s1 + 1 multiplies that
-    # coefficient by (k[s1] - used[s1]) / r, so r times the completions
-    # with that next chunk is the exact sum of q * (k[s1] - used[s1]).
-    pairs = list(zip(table.tau1_members(t), table.coefs[t]))  # one bulk tau1 scan
-    used = [0] * model.m
-    steps: List[Tuple[int, int]] = []
-    ell = 0
-    for i in range(n):
+    members = table.tau1_members(t)  # one bulk tau1 scan
+    save = xi is not None and steps is None
+    key = ("rank", t)
+    record = table._cache.get(key) if save else None
+    if record is not None and record[1] == xi >> ((n - record[0]) * mp1):
+        start, ell, count, pairs, used = record
+        used = list(used)
+        save = False  # the checkpoint already holds this walk's state
+    else:
+        # (k, q) for every class-t composition k that extends the chunks
+        # fixed so far, whose outcome counts are in used; q is the number
+        # of ways to fill the r chunks left, the multinomial coefficient
+        # of k - used.  Fixing the next chunk to outcome s1 + 1 multiplies
+        # that coefficient by (k[s1] - used[s1]) / r, so r times the
+        # completions with that next chunk is the exact sum of
+        # q * (k[s1] - used[s1]); every carried k has k >= used.
+        start, ell, count = 0, 0, 0
+        pairs = list(zip(members, table.coefs[t]))
+        used = [0] * model.m
+    for i in range(start, n):
         r = n - i
+        if save and (r == 1 or not pairs):
+            table._cache[key] = (i, ell, count, pairs, tuple(used))
         if not pairs:
             # rank walks only (an unrank walk never leaves class t): no
             # class-t level extends this prefix, so every later count is 0
-            rest = xi & ((1 << (r * mp1)) - 1)
-            while rest:
-                b = rest.bit_length()
-                steps.append((n * mp1 - b + 1, 0))
-                rest ^= 1 << (b - 1)
-            return xi, steps, 0
+            if steps is not None:
+                rest = xi & ((1 << (r * mp1)) - 1)
+                while rest:
+                    b = rest.bit_length()
+                    steps.append((n * mp1 - b + 1, 0))
+                    rest ^= 1 << (b - 1)
+            return xi, count
         if xi is not None:
             cx = (xi >> ((r - 1) * mp1)) & mask
             for j in range(mp1 - 1, -1, -1):
@@ -214,14 +251,16 @@ def _count_walk(
                     for c in range(base, base + bit):
                         s1 = lut[c] - 1
                         u = used[s1]
-                        acc += sum([q * (k[s1] - u) for k, q in pairs if k[s1] > u])
+                        acc += sum([q * (k[s1] - u) for k, q in pairs])
                     stats.bigint_ops += bit * len(pairs)
-                    steps.append((i * mp1 + mp1 - j, acc // r))
+                    count += acc // r
+                    if steps is not None:
+                        steps.append((i * mp1 + mp1 - j, acc // r))
         else:
             for cx in range(mask + 1):
                 s1 = lut[cx] - 1
                 u = used[s1]
-                acc = sum([q * (k[s1] - u) for k, q in pairs if k[s1] > u])
+                acc = sum([q * (k[s1] - u) for k, q in pairs])
                 stats.bigint_ops += len(pairs)
                 if s * r <= acc:
                     break
@@ -231,7 +270,7 @@ def _count_walk(
         pairs = [(k, q * (k[s1] - u) // r) for k, q in pairs if k[s1] > u]
         used[s1] = u + 1
         ell = (ell << mp1) | cx
-    return ell, steps, len(pairs)
+    return ell, count + len(pairs)
 
 
 def enum_a(table: ValueTable, t: int, s: int) -> int:
@@ -245,7 +284,7 @@ def enum_b(table: ValueTable, t: int, s: int) -> int:
     """s-th smallest element of IB_{n,t}, by unranking s in the counting loop."""
     table._check_class(t)
     _check_s(table, t, s)
-    ell, _, _ = _count_walk(table, t, s=s)
+    ell, _ = _count_walk(table, t, s=s)
     if iweight(table, ell) != t:
         raise DomainError(
             f"enum_b postcondition failed: iweight({ell}) != {t}"

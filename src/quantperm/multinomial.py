@@ -15,8 +15,9 @@ B_s, so a composition's value is the integer pair (sum k_s A_s,
 sum k_s B_s), packed into one int.  The build groups K_n by that int
 and sorts only the distinct classes, by the plain int when no outcome
 has a radical part and otherwise by an exact integer key (_lattice_key).
-One ExactScalar is made per class; none per composition.  A table of
-more than MAX_COMPOSITIONS compositions is refused before enumeration.
+One ExactScalar is made per class; none per composition.  A table
+wider than MAX_WIDTH bits or of more than MAX_COMPOSITIONS compositions
+is refused before enumeration.
 
 tau1 is the class-membership oracle: tau1(k, t) = 1 iff composition k
 lies in class t.  Algorithms downstream are measured by how many tau1
@@ -28,6 +29,7 @@ deliberately not counted.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +47,13 @@ Composition = Tuple[int, ...]
 # 1,184,040 compositions, about 620 MB peak RSS for the whole table)
 # and refuses n = 22 (1,560,780).
 MAX_COMPOSITIONS = 1_200_000
+
+# Widest n(M+1) build_value_table accepts.  Every gamma, SMC entry and
+# multinomial coefficient is below m^n = 2^width, so this bounds the bit
+# size of every table integer: builtin A (one bit per draw) builds at
+# n = 1024 in about 0.1 s on a 2-vCPU host, where n = 4096 took 7 s and
+# n = 100000 did not finish.
+MAX_WIDTH = 1024
 
 
 def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
@@ -183,21 +192,44 @@ class ValueTable:
 def build_value_table(model: OutcomeModel, n: int) -> ValueTable:
     """Group K_n by its integer lattice value, then sort the distinct classes.
 
-    Refused before enumeration when |K_n| > MAX_COMPOSITIONS.  Each
-    composition is a high half (its first m//2 parts) followed by a low
-    half, and each half carries its lattice code and multinomial
-    coefficient, so a composition costs one add and one multiply.  Every
-    high half in lex order, then every low half that completes it, is
-    lex order, so every class lists its members in lex order.
+    Refused before enumeration when n(M+1) > MAX_WIDTH or
+    |K_n| > MAX_COMPOSITIONS.  The cyclic garbage collector is paused
+    during the build and left as the caller had it.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
+    width = n * (model.M + 1)
+    if width > MAX_WIDTH:
+        raise DomainError(
+            f"value table at n = {n} has width n(M+1) = {width}, more than "
+            f"MAX_WIDTH = {MAX_WIDTH}"
+        )
     count = composition_count(n, model.m)
     if count > MAX_COMPOSITIONS:
         raise DomainError(
             f"value table at n = {n} has {count} compositions, more than "
             f"MAX_COMPOSITIONS = {MAX_COMPOSITIONS}"
         )
+    # the build allocates millions of objects and frees none in cycles, so
+    # the cyclic collector's rescans of them are pure cost
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build(model, n)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build(model: OutcomeModel, n: int) -> ValueTable:
+    """The table of an admitted (model, n).
+
+    Each composition is a high half (its first m//2 parts) followed by a
+    low half, and each half carries its lattice code and multinomial
+    coefficient, so a composition costs one add and one multiply.  Every
+    high half in lex order, then every low half that completes it, is
+    lex order, so every class lists its members in lex order.
+    """
     den = lcm(*(q.denominator for o in model.outcomes for q in (o.a, o.b)))
     A = [o.a.numerator * (den // o.a.denominator) for o in model.outcomes]
     B = [o.b.numerator * (den // o.b.denominator) for o in model.outcomes]

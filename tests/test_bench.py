@@ -101,6 +101,25 @@ def test_corrupted_table_is_caught():
     assert failed == {"table-monotone"}
 
 
+@pytest.mark.parametrize("bad_xi", [5, 7])
+def test_partition_and_gamma_checks_read_the_fast_values(monkeypatch, bad_xi):
+    # one beta_fast value off by one must trip the partition identity,
+    # which the sweep's own tally satisfies by construction, and at the
+    # top level (7 for A at n = 3) the gamma identity as well
+    from quantperm import bench
+
+    real = bench.beta_fast
+
+    def off_by_one(table, t, xi):
+        return real(table, t, xi) + (1 if (t, xi) == (1, bad_xi) else 0)
+
+    monkeypatch.setattr(bench, "beta_fast", off_by_one)
+    checks = table_checks(build_value_table(builtin_model("A"), 3), seed=0)
+    failed = {c.name for c in checks if not c.passed}
+    assert {"beta-equivalence", "beta-partition"} <= failed
+    assert ("alpha-beta-gamma" in failed) == (bad_xi == 7)
+
+
 def test_check_counts_are_honest():
     table = build_value_table(builtin_model("A"), 3)
     checks = table_checks(table, seed=0)

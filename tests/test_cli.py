@@ -178,6 +178,19 @@ def test_table_beyond_composition_budget_refused(capsys, time_limit):
     assert err.startswith("error:") and "MAX_COMPOSITIONS" in err
 
 
+def test_wide_table_refused_by_width_budget(capsys, time_limit):
+    # every coefficient of A at these n is a factorial quotient of
+    # thousands of digits; the width budget refuses them before enumeration
+    for argv in (
+        ("fperm", "--model", "builtin:A", "--n", "100000", "--ell", "5"),
+        ("count", "--model", "builtin:A", "--n", "20000"),
+    ):
+        with time_limit(1):
+            code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "MAX_WIDTH" in err
+
+
 def test_count_past_int_text_limit(capsys):
     # A at n = 12: 9,535 digits, more than Python's default 4,300
     limit = sys.get_int_max_str_digits()

@@ -19,6 +19,8 @@ from quantperm import (
     beta_bruteforce,
     beta_fast,
     beta_fast_trace,
+    build_value_table,
+    builtin_model,
     decode_weight_index,
     encode_weight_index,
     enum_a,
@@ -325,3 +327,92 @@ def test_beta_bruteforce_refused_beyond_explicit_width(tables, time_limit):
             build(table)
     with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
         Representation(table, [])
+
+
+# -- the rank walk's per-class checkpoint ------------------------------------
+# Tables are built inside these tests: the session fixture's tables are
+# shared, and their checkpoints depend on which walks ran before.
+
+
+def _record(table, t):
+    return table._cache.get(("rank", t))
+
+
+def test_rank_checkpoint_in_any_order(model_a, model_b, model_c):
+    # every (t, xi) ranked ascending, descending and shuffled, with trace
+    # and unrank walks interleaved, against the running iweight tally
+    for model, n_top in ((model_a, 10), (model_b, 5), (model_c, 4)):
+        for n in range(1, n_top + 1):
+            table = build_value_table(model, n)
+            counts = [0] * (table.T + 1)
+            want = []
+            for xi in range(table.num_indices):
+                counts[iweight(table, xi)] += 1
+                want.append(list(counts))
+            calls = [
+                (t, xi) for xi in range(table.num_indices) for t in range(table.T + 1)
+            ]
+            shuffled = calls[:]
+            random.Random(n).shuffle(shuffled)
+            for order in (calls, calls[::-1], shuffled):
+                for j, (t, xi) in enumerate(order):
+                    assert beta_fast(table, t, xi) == want[xi][t], (model, n, t, xi)
+                    if j % 7 == 0:
+                        other = order[j // 2][1]
+                        assert beta_fast_trace(table, t, other).total == want[other][t]
+                        s = 1 + j % table.gammas[t]
+                        assert beta_fast(table, t, enum_b(table, t, s)) == s
+
+
+def test_resumed_rank_equals_fresh_walk():
+    # seeded levels and their neighbours in the last chunk (xi ^ 1) and in
+    # the one before it (xi ^ 2^(M+1)); half the classes are iweight(xi),
+    # whose walks reach the last chunk, and half are drawn at random
+    for name, n in (("B", 32), ("A", 64)):
+        table = build_value_table(builtin_model(name), n)
+        scan = composition_count(n, table.model.m)
+        rng = random.Random(n)
+        resumed = [0, 0, 0]
+        for j in range(200):
+            xi = rng.randrange(table.num_indices)
+            t = iweight(table, xi) if j % 2 else rng.randrange(table.T + 1)
+            for kind, x in enumerate((xi, xi ^ 1, xi ^ (1 << (table.model.M + 1)))):
+                before = table.stats.snapshot()
+                got = beta_fast(table, t, x)
+                got_cost = table.stats.delta(before)
+                table._cache.pop(("rank", t), None)
+                before = table.stats.snapshot()
+                assert beta_fast(table, t, x) == got, (name, t, x)
+                fresh_cost = table.stats.delta(before)
+                assert got_cost.tau1_queries == fresh_cost.tau1_queries == scan
+                assert got_cost.bigint_ops <= fresh_cost.bigint_ops
+                resumed[kind] += got_cost.bigint_ops < fresh_cost.bigint_ops
+        # every xi ^ 1 shares the checkpoint's prefix and resumes (saving
+        # ops unless its class ran out before any 1-bit); so does an
+        # xi ^ 2^(M+1) whose class ran out above the last two chunks
+        assert resumed[1] >= 195 and resumed[2] > 50, (name, resumed)
+
+
+def test_unrank_and_trace_leave_the_checkpoint_alone():
+    table = build_value_table(builtin_model("B"), 32)
+    rng = random.Random(7)
+    for _ in range(50):
+        xi = rng.randrange(table.num_indices)
+        t = iweight(table, xi)
+        beta_fast(table, t, xi)
+        # xi lies in class t, so the walk reached the last chunk, where at
+        # most m compositions are live
+        record = _record(table, t)
+        depth, _, _, pairs, _ = record
+        assert depth == table.n - 1 and 1 <= len(pairs) <= table.model.m
+        # the trace walks from chunk 1 even where the checkpoint fits
+        before = table.stats.snapshot()
+        walk = beta_fast_trace(table, t, xi ^ 1)
+        traced = table.stats.delta(before).bigint_ops
+        enum_b(table, t, 1 + rng.randrange(table.gammas[t]))
+        f_perm(table, rng.randrange(table.num_indices))
+        assert _record(table, t) is record
+        table._cache.pop(("rank", t))
+        before = table.stats.snapshot()
+        assert beta_fast(table, t, xi ^ 1) == walk.total
+        assert table.stats.delta(before).bigint_ops == traced

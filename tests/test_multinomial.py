@@ -6,6 +6,7 @@ and irrational sums, so getting it right requires the exact comparisons
 (floats agree here, but the test asserts the exact path produces it).
 """
 
+import gc
 import hashlib
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,7 @@ from quantperm import (
     load_model,
     multinomial_coefficient,
 )
+from quantperm.multinomial import MAX_WIDTH
 
 
 def test_coefficient_examples():
@@ -221,6 +223,30 @@ def test_build_validation(model_a):
         build_value_table(model_a, 0)
     with pytest.raises(DomainError):
         build_value_table(model_a, -3)
+
+
+def test_width_budget(model_a, model_b, time_limit):
+    # every table integer is below m^n = 2^width, so MAX_WIDTH bounds them
+    assert MAX_WIDTH == 1024
+    table = build_value_table(model_a, MAX_WIDTH)
+    assert table.width == MAX_WIDTH and table.smc[-1] == 2**MAX_WIDTH
+    for model, n in ((model_a, MAX_WIDTH + 1), (model_b, MAX_WIDTH // 2 + 1)):
+        with time_limit(1), pytest.raises(DomainError, match="MAX_WIDTH"):
+            build_value_table(model, n)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_leaves_gc_state(model_b, enabled):
+    saved = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        build_value_table(model_b, 3)
+        assert gc.isenabled() == enabled
+        with pytest.raises(DomainError):
+            build_value_table(model_b, MAX_WIDTH)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if saved else gc.disable()
 
 
 @given(n=st.integers(min_value=1, max_value=6))
