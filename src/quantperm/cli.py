@@ -24,8 +24,6 @@ from .indexing import (
     beta_bruteforce,
     beta_fast,
     beta_fast_trace,
-    is_n,
-    is_star,
     istep,
     iweight,
 )
@@ -72,6 +70,8 @@ def _load_perm_file(path: str, table: ValueTable) -> List[int]:
             raw = fh.read()
     except OSError as e:
         raise DomainError(f"cannot read permutation file {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise DomainError(f"permutation file {path} is not UTF-8 text: {e}") from None
     mapping = [-1] * table.num_indices
     filled = 0
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -177,32 +177,24 @@ def _levels(args, table: ValueTable) -> Sequence[int]:
 
 
 def _cmd_step(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
-    rows = [(ell, istep(table, ell), is_star(table, ell)) for ell in _levels(args, table)]
-    if args.format == "json":
-        print(
-            json.dumps(
-                [{"ell": e, "t": t, "value": v.text()} for e, t, v in rows], indent=2
-            )
-        )
-    else:
-        _emit([f"{e},{t},{v.text()}" for e, t, v in rows])
-    return 0
+    return _emit_classes(args, istep)
 
 
 def _cmd_weight(args) -> int:
+    return _emit_classes(args, iweight)
+
+
+def _emit_classes(args, cls) -> int:
+    """'ell,t,value' for t = cls(ell) at the addressed levels; CSV streams."""
     model = _load(args.model)
     table = build_value_table(model, args.n)
-    rows = [(ell, iweight(table, ell), is_n(table, ell)) for ell in _levels(args, table)]
+    values = table.values
+    rows = ((ell, cls(table, ell)) for ell in _levels(args, table))
     if args.format == "json":
-        print(
-            json.dumps(
-                [{"ell": e, "t": t, "value": v.text()} for e, t, v in rows], indent=2
-            )
-        )
+        doc = [{"ell": e, "t": t, "value": values[t].text()} for e, t in rows]
+        print(json.dumps(doc, indent=2))
     else:
-        _emit([f"{e},{t},{v.text()}" for e, t, v in rows])
+        _emit(f"{e},{t},{values[t].text()}" for e, t in rows)
     return 0
 
 

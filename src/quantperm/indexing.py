@@ -208,7 +208,7 @@ def _count_walk(
     mask = model.m - 1
     lut = model._index_of_chunk
     stats = table.stats
-    members = table.tau1_members(t)  # one bulk tau1 scan
+    members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
     save = xi is not None and steps is None
     key = ("rank", t)
     record = table._cache.get(key) if save else None

@@ -109,8 +109,9 @@ class ValueTable:
 
     Fields: values[t] (exact, strictly increasing), members[t] (the
     compositions in class t, lex order), coefs[t] (their multinomial
-    coefficients, aligned with members[t]), gammas[t], smc[0..T+1].
-    width = n*(M+1) and num_indices = 2^width = m^n.
+    coefficients, aligned with members[t]), gammas[t], smc[0..T+1],
+    with T = len(values) - 1.  width = n*(M+1) and
+    num_indices = 2^width = m^n.
     """
 
     def __init__(self, model: OutcomeModel, n: int, values, members, coefs):
@@ -119,6 +120,7 @@ class ValueTable:
         self.width = n * (model.M + 1)
         self.num_indices = model.m**n
         self.values = tuple(values)
+        self.T = len(self.values) - 1
         self.members = tuple(members)
         self.coefs = tuple(coefs)
         self.gammas = tuple(map(sum, self.coefs))
@@ -131,10 +133,6 @@ class ValueTable:
         }
         self.stats = OracleStats()
         self._cache: dict = {}
-
-    @property
-    def T(self) -> int:
-        return len(self.values) - 1
 
     # -- oracle side (counted) ---------------------------------------------
 
@@ -154,6 +152,10 @@ class ValueTable:
         for every k and keeps the hits.
         """
         self._check_class(t)
+        return self._tau1_scan(t)
+
+    def _tau1_scan(self, t: int) -> Tuple[Composition, ...]:
+        """tau1_members for a class t the caller has already checked."""
         self.stats.tau1_queries += len(self._class_index)
         return self.members[t]
 

@@ -205,12 +205,13 @@ def _pattern_int(pattern: Pattern) -> int:
 
 
 def _validate_patterns(M: int, patterns: Sequence[Pattern]):
-    m = 2 ** (M + 1)
-    if len(patterns) != m:
-        raise DomainError(f"expected {m} patterns for M={M}, got {len(patterns)}")
+    # count without forming 2^(M+1), as HaarSpec does: M comes from outside
+    size = len(patterns)
+    if size.bit_length() != M + 2 or size & (size - 1):
+        raise DomainError(f"expected 2^{M + 1} patterns for M={M}, got {size}")
     seen = set()
     for p in patterns:
-        if len(p) != M + 1 or any(b not in (0, 1) for b in p):
+        if len(p) != M + 1 or any(not isinstance(b, int) or b not in (0, 1) for b in p):
             raise DomainError(f"pattern {p!r} is not a length-{M + 1} bit tuple")
         if p in seen:
             raise DomainError(f"duplicate pattern {p!r}")
@@ -332,11 +333,13 @@ def model_from_json(doc) -> OutcomeModel:
     if not isinstance(strict, bool):
         raise DomainError(f"field 'strict' must be a boolean, got {strict!r}")
     d = doc.get("d", 1)
+    if not isinstance(d, int):
+        raise DomainError(f"field 'd' must be an integer, got {d!r}")
     if ("outcomes" in doc) == ("haar" in doc):
         raise DomainError("model document needs exactly one of 'outcomes' or 'haar'")
     if "haar" in doc:
         block = doc["haar"]
-        if not isinstance(block, dict) or "coeffs" not in block:
+        if not isinstance(block, dict) or not isinstance(block.get("coeffs"), list):
             raise DomainError("'haar' must be an object with a 'coeffs' list")
         coeffs = {}
         for idx, row in enumerate(block["coeffs"]):
@@ -367,6 +370,8 @@ def model_from_json(doc) -> OutcomeModel:
                 value = parse_scalar(row["value"], d=d if d > 1 else None)
             except DomainError as e:
                 raise DomainError(f"outcomes[{idx}].value: {e}") from None
+            if not isinstance(row["pattern"], list):
+                raise DomainError(f"outcomes[{idx}].pattern must be a list of bits")
             pairs.append((tuple(row["pattern"]), value))
         model = build_manual(M, pairs, strict=strict)
     if model.d > 1 and d != model.d:
@@ -383,6 +388,8 @@ def load_model(path: str) -> OutcomeModel:
             raw = fh.read()
     except OSError as e:
         raise DomainError(f"cannot read model file {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DomainError(f"model file {path} is not UTF-8 text: {e}") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:

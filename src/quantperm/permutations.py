@@ -13,8 +13,17 @@ t).  f_perm evaluates it lazily at one ell by unranking the within-class
 rank in the counting loop of indexing (enum_b), and inv_f inverts it by
 ranking in the same loop (beta_fast).  Each call makes one bulk tau1
 scan over K_n (|K_n| counted queries), so both stay polynomial relative
-to tau1 at any width.  Explicit permutation tables are only
-materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
+to tau1 at any width.
+
+Explicitly, F_n lists IB_{n,0}, IB_{n,1}, ... in level order, so that
+IB_{n,t} fills the step block [SMC(t), SMC(t+1)); it is built once per
+table by a counting sort over weight_classes.  Every other admissible
+permutation is that array with each class's slice reordered, and an
+AdmissiblePermutation stores its level mapping alone: make_admissible
+reads pi(SMC(t) + s - 1) = F_n(SMC(t) + phi_t(s) - 1), blocks_of
+recovers phi_t through F_n^{-1}, and random_admissible shuffles each
+slice of F_n.  Explicit tables are only materialized for
+n(M+1) <= EXPLICIT_WIDTH_LIMIT.
 
 The characterizing relation: ell' = F_n(ell) is the unique solution of
 
@@ -37,7 +46,6 @@ from .indexing import (
     enum_b,
     istep,
     iweight,
-    step_classes,
     weight_classes,
 )
 from .multinomial import ValueTable
@@ -70,32 +78,42 @@ def gamma_relation(table: ValueTable, ell: int, ellp: int) -> bool:
     return beta_fast(table, t, ellp) * chi == alpha(table, t, ell)
 
 
-def weight_class_lists(table: ValueTable) -> List[List[int]]:
-    """IB_{n,t} as ascending lists, one per class (explicit-width only)."""
+def _canonical_mapping(table: ValueTable) -> Tuple[int, ...]:
+    """F_n's explicit mapping, cached once per table (explicit-width only).
+
+    A counting sort of the levels by weight class: one pass over
+    weight_classes with one next slot per class, starting at SMC(t), so
+    IB_{n,t} fills [SMC(t), SMC(t+1)) in level order.
+    """
     _require_explicit(table.width)
-    cached = table._cache.get("weight_class_lists")
+    cached = table._cache.get("canonical_mapping")
     if cached is not None:
         return cached
-    lists: List[List[int]] = [[] for _ in range(table.T + 1)]
+    slot = list(table.smc[:-1])
+    mapping = [0] * table.num_indices
     for ell, t in enumerate(weight_classes(table)):
-        lists[t].append(ell)
-    table._cache["weight_class_lists"] = lists
-    return lists
+        mapping[slot[t]] = ell
+        slot[t] += 1
+    cached = table._cache["canonical_mapping"] = tuple(mapping)
+    return cached
 
 
 class AdmissiblePermutation:
-    """Explicit admissible permutation: a full mapping plus its block ranks.
+    """Explicit admissible permutation: its full level mapping.
 
     block_perms[t] is the 1-based rank permutation phi_t with
-    mapping[enum_a(t, s)] = enum_b(t, phi_t(s)).
+    mapping[enum_a(t, s)] = enum_b(t, phi_t(s)), computed on each read.
     """
 
-    def __init__(self, table: ValueTable, mapping: Sequence[int], block_perms):
+    def __init__(self, table: ValueTable, mapping: Sequence[int]):
         self.table = table
         self.n = table.n
         self.width = table.width
         self.mapping = tuple(mapping)
-        self.block_perms = tuple(tuple(b) for b in block_perms)
+
+    @property
+    def block_perms(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(blocks_of(self.table, self.mapping))
 
     def __call__(self, ell: int) -> int:
         _check_level(self.table, ell)
@@ -128,46 +146,53 @@ class AdmissiblePermutation:
 def make_admissible(table: ValueTable, block_perms) -> AdmissiblePermutation:
     """Assemble the admissible permutation with the given per-class ranks."""
     _require_explicit(table.width)
-    blocks = [tuple(b) for b in block_perms]
+    try:
+        blocks = list(block_perms)
+    except TypeError:
+        raise DomainError(
+            f"block permutations must be a sequence, got {type(block_perms).__name__}"
+        ) from None
     if len(blocks) != table.T + 1:
         raise DomainError(
             f"need {table.T + 1} block permutations, got {len(blocks)}"
         )
-    for t, b in enumerate(blocks):
-        if sorted(b) != list(range(1, table.gammas[t] + 1)):
+    for t, (b, g) in enumerate(zip(blocks, table.gammas)):
+        try:
+            ranks = blocks[t] = tuple(b)
+        except TypeError:  # not iterable; every class has gamma_t >= 1
+            ranks = ()
+        if not all(isinstance(r, int) for r in ranks) or (
+            sorted(ranks) != list(range(1, g + 1))
+        ):
             raise DomainError(
-                f"block {t} must be a permutation of 1..{table.gammas[t]}, got {b!r}"
+                f"block {t} must be a permutation of 1..{g}, got {b!r}"
             )
-    lists = weight_class_lists(table)
-    mapping = [0] * table.num_indices
-    for t, b in enumerate(blocks):
-        start = table.smc[t]
-        ib = lists[t]
-        for s0, rank in enumerate(b):
-            mapping[start + s0] = ib[rank - 1]
-    return AdmissiblePermutation(table, mapping, blocks)
+    canon = _canonical_mapping(table)
+    smc = table.smc
+    return AdmissiblePermutation(
+        table,
+        (canon[start + rank - 1] for start, b in zip(smc, blocks) for rank in b),
+    )
 
 
 def canonical_permutation(table: ValueTable) -> AdmissiblePermutation:
     """F_n as an explicit table: identity ranks in every class."""
-    return make_admissible(
-        table, [range(1, g + 1) for g in table.gammas]
-    )
+    return AdmissiblePermutation(table, _canonical_mapping(table))
 
 
 def blocks_of(table: ValueTable, mapping: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Recover the per-class rank permutations of an admissible mapping."""
+    """Recover the per-class rank permutations of an admissible mapping.
+
+    phi_t(s) = F_n^{-1}(pi(SMC(t) + s - 1)) - SMC(t) + 1.
+    """
     _require_explicit(table.width)
     reason = admissibility_failure(table, mapping)
     if reason is not None:
         raise DomainError(f"mapping is not admissible: {reason}")
-    rank = [0] * table.num_indices
-    for ib in weight_class_lists(table):
-        for s, ell in enumerate(ib, 1):
-            rank[ell] = s
+    inv = canonical_permutation(table).inverse_mapping()
     smc = table.smc
     return [
-        tuple(rank[ellp] for ellp in mapping[smc[t]:smc[t + 1]])
+        tuple(inv[ellp] - smc[t] + 1 for ellp in mapping[smc[t]:smc[t + 1]])
         for t in range(table.T + 1)
     ]
 
@@ -195,13 +220,15 @@ def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
             return f"not a bijection: {ellp} hit twice (second time at ell={ell})"
         seen[ellp] = 1
     wc = weight_classes(table)
-    sc = step_classes(table)
-    for ell, ellp in enumerate(mapping):
-        if wc[ellp] != sc[ell]:
-            return (
-                f"class mismatch at ell={ell}: row sum of pi(ell) is in "
-                f"class {wc[ellp]}, expected istep={sc[ell]}"
-            )
+    smc = table.smc
+    for t in range(table.T + 1):
+        lo, hi = smc[t], smc[t + 1]
+        for ell, c in enumerate(map(wc.__getitem__, mapping[lo:hi]), lo):
+            if c != t:
+                return (
+                    f"class mismatch at ell={ell}: row sum of pi(ell) is in "
+                    f"class {c}, expected istep={t}"
+                )
     return None
 
 
@@ -223,11 +250,15 @@ def count_admissible(table: ValueTable) -> int:
 
 def random_admissible(table: ValueTable, seed: int) -> AdmissiblePermutation:
     """Uniformly random admissible permutation from a seeded generator."""
-    _require_explicit(table.width)
+    canon = _canonical_mapping(table)
     rng = random.Random(seed)
-    blocks = []
-    for g in table.gammas:
-        b = list(range(1, g + 1))
-        rng.shuffle(b)
-        blocks.append(b)
-    return make_admissible(table, blocks)
+
+    def shuffled():
+        # shuffle moves positions, not values: shuffling a class's slice
+        # of F_n is applying a shuffled rank permutation to it
+        for lo, hi in zip(table.smc, table.smc[1:]):
+            block = list(canon[lo:hi])
+            rng.shuffle(block)
+            yield from block
+
+    return AdmissiblePermutation(table, shuffled())

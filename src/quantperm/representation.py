@@ -45,7 +45,6 @@ from .permutations import (
     PermLike,
     _as_mapping,
     admissibility_failure,
-    blocks_of,
 )
 
 
@@ -101,7 +100,10 @@ def perm_from_representation(
     table: ValueTable, rep: Representation
 ) -> AdmissiblePermutation:
     """The unique permutation underlying rep: its level mapping."""
-    return AdmissiblePermutation(table, rep.levels, blocks_of(table, rep.levels))
+    reason = admissibility_failure(table, rep.levels)
+    if reason is not None:
+        raise DomainError(f"representation is not admissible: {reason}")
+    return AdmissiblePermutation(table, rep.levels)
 
 
 def representation_failure(

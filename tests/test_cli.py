@@ -7,10 +7,16 @@ the contract (everything except bench wall times).
 import json
 import math
 import sys
+import tempfile
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quantperm import cli
+from quantperm import DomainError, build_value_table, builtin_model, cli, load_model
+from quantperm.permutations import admissibility_failure
 
 
 def run(capsys, *argv):
@@ -114,6 +120,113 @@ def test_model_file_with_zero_denominator(capsys, tmp_path):
     code, out, err = run(capsys, "table", "--model", str(path), "--n", "2")
     assert code == 1 and out == ""
     assert "error:" in err
+
+
+MANUAL_A = {
+    "M": 0,
+    "strict": True,
+    "outcomes": [{"pattern": [1], "value": "-1"}, {"pattern": [0], "value": "1"}],
+}
+BAD_INPUTS = {
+    "model-not-utf8": ("model", b'{"M": 0, "strict": true, "outcomes": "\xff"}'),
+    "perm-not-utf8": ("perm", b"0,3\n1,1\n2,2\n3,\xff\n"),
+    "d-not-int": ("model", json.dumps(dict(MANUAL_A, d="x")).encode()),
+    "pattern-not-list": (
+        "model",
+        json.dumps(dict(MANUAL_A, outcomes=[{"pattern": 5, "value": "1"}] * 2)).encode(),
+    ),
+    "manual-M-huge": ("model", json.dumps(dict(MANUAL_A, M=1_000_000)).encode()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_model_and_perm_files_are_domain_errors(capsys, tmp_path, time_limit, case):
+    kind, data = BAD_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    if kind == "model":
+        argv = ["table", "--model", str(path), "--n", "2"]
+    else:
+        argv = ["verify", "--model", "builtin:A", "--n", "2", "--perm", str(path)]
+    with time_limit(1):
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_any(valid):
+    return st.one_of(valid, json_values)
+
+
+scalar_texts = _or_any(st.sampled_from(["1", "-1", "1/2", "0", "sqrt(2)", "1/0", "x"]))
+model_M = _or_any(st.sampled_from([0, 1, 2, -1, 1_000_000]))
+outcome_rows = _or_any(
+    st.fixed_dictionaries(
+        {
+            "pattern": _or_any(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3)),
+            "value": scalar_texts,
+        }
+    )
+)
+haar_rows = _or_any(
+    st.tuples(st.integers(-1, 2), st.integers(-1, 3), scalar_texts).map(list)
+)
+model_docs = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {
+            "M": model_M,
+            "strict": _or_any(st.booleans()),
+            "outcomes": _or_any(st.lists(outcome_rows, max_size=5)),
+        },
+        optional={"d": _or_any(st.sampled_from([1, 2, 3]))},
+    ),
+    st.fixed_dictionaries(
+        {
+            "M": model_M,
+            "strict": _or_any(st.booleans()),
+            "haar": _or_any(
+                st.fixed_dictionaries({"coeffs": _or_any(st.lists(haar_rows, max_size=8))})
+            ),
+        },
+        optional={"d": _or_any(st.sampled_from([1, 2, 3]))},
+    ),
+)
+perm_rows = st.lists(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda r: f"{r[0]},{r[1]}"),
+    max_size=5,
+).map("\n".join)
+
+
+@given(
+    model=st.one_of(
+        model_docs.map(lambda d: json.dumps(d).encode()), st.binary(max_size=40)
+    ),
+    perm=st.one_of(
+        perm_rows.map(str.encode),
+        st.text(max_size=20).map(str.encode),
+        st.binary(max_size=20),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_model_and_perm_files_return_or_raise_domain_error(model, perm):
+    table = build_value_table(builtin_model("A"), 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, perm_path = Path(tmp) / "model.json", Path(tmp) / "perm.csv"
+        model_path.write_bytes(model)
+        perm_path.write_bytes(perm)
+        with suppress(DomainError):
+            load_model(str(model_path))
+        with suppress(DomainError):
+            admissibility_failure(table, cli._load_perm_file(str(perm_path), table))
 
 
 def test_usage_errors_exit_2(capsys):

@@ -37,7 +37,7 @@ from quantperm import (
 )
 from quantperm.indexing import decoded_vectors, step_classes, weight_classes
 from quantperm.multinomial import composition_count
-from quantperm.permutations import weight_class_lists
+from quantperm.permutations import canonical_permutation
 
 
 def test_decode_examples(model_a, model_b):
@@ -133,6 +133,21 @@ def test_beta_spot_values(tables):
     tb = tables("B", 2)
     assert beta_fast(tb, 1, 10) == 0
     assert beta_fast(tb, 1, 11) == 1
+
+
+def test_bad_class_refused_before_the_scan(tables):
+    # the class is checked once per call, before the bulk tau1 scan
+    tb = tables("B", 2)
+    before = tb.stats.tau1_queries
+    for bad in (-1, tb.T + 1, 1.0, None):
+        for call in (
+            lambda: beta_fast(tb, bad, 0),
+            lambda: beta_fast_trace(tb, bad, 0),
+            lambda: enum_b(tb, bad, 1),
+        ):
+            with pytest.raises(DomainError, match="class index"):
+                call()
+    assert tb.stats.tau1_queries == before
     assert beta_fast(tb, 1, 14) == 2
     assert beta_fast(tb, 3, 15) == 4
     assert beta_fast(tb, 6, 0) == 1
@@ -245,13 +260,16 @@ ORACLE_RANGES = (("A", 8), ("B", 4), ("C", 5))
 
 
 def test_enum_b_equals_class_lists(tables):
+    # the explicit F_n lists IB_{n,t} in level order from SMC(t) on; it is
+    # a sort of weight_classes, with no counting loop
     for name, n_top in ORACLE_RANGES:
         for n in range(1, n_top + 1):
             table = tables(name, n)
-            lists = weight_class_lists(table)
+            canon = canonical_permutation(table).mapping
             for t in range(table.T + 1):
+                start = table.smc[t]
                 for s in range(1, table.gammas[t] + 1):
-                    assert enum_b(table, t, s) == lists[t][s - 1], (name, n, t, s)
+                    assert enum_b(table, t, s) == canon[start + s - 1], (name, n, t, s)
 
 
 def test_beta_fast_equals_bruteforce_oracle(tables):

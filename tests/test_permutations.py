@@ -6,6 +6,7 @@ A, n=2:  IB = {3}, {1,2}, {0}            -> F = [3, 1, 2, 0]
 B, n=2:  IB_1 = {11,14}, IB_3 = {3,6,9,12}, ... -> F as below.
 """
 
+import hashlib
 import math
 import random
 
@@ -26,6 +27,7 @@ from quantperm import (
     verify_admissible,
 )
 from quantperm.permutations import admissibility_failure, blocks_of
+from quantperm.representation import perm_from_representation, representation_from_perm
 
 F2_A = [3, 1, 2, 0]
 F2_B = [15, 11, 14, 7, 10, 13, 3, 6, 9, 12, 2, 5, 8, 1, 4, 0]
@@ -113,6 +115,14 @@ def test_make_admissible_validation(tables):
         make_admissible(table, [[1], [1, 1], [1]])  # not a permutation
     with pytest.raises(DomainError):
         make_admissible(table, [[1], [1, 3], [1]])  # out of range
+    with pytest.raises(DomainError):
+        make_admissible(table, [[1], ["a", 1], [1]])  # not a rank
+    with pytest.raises(DomainError):
+        make_admissible(table, [[1], [1.0, 2], [1]])  # not an int rank
+    with pytest.raises(DomainError):
+        make_admissible(table, [[1], None, [1]])  # not a block
+    with pytest.raises(DomainError):
+        make_admissible(table, None)  # not a list of blocks
 
 
 def test_blocks_round_trip(tables):
@@ -167,6 +177,38 @@ def test_random_admissible_deterministic(tables):
     assert any(
         random_admissible(table, seed).mapping != p1.mapping for seed in range(5)
     )
+
+
+# SHA-256 of repr((mapping, block_perms)) for every seed 0-19 on A n <= 16,
+# B n <= 5 and C n = 3, taken from the sampler that shuffled each class's
+# rank list 1..gamma_t and assembled the blocks with make_admissible
+RANDOM_DIGEST = "143990d377c10b6c76ae73bfdedcbf65abfc7eff1f2d48052f8762352746100b"
+
+
+def test_random_admissible_digest_pinned(tables):
+    h = hashlib.sha256()
+    for name, ns in (("A", range(1, 17)), ("B", range(1, 6)), ("C", (3,))):
+        for n in ns:
+            table = tables(name, n)
+            for seed in range(20):
+                perm = random_admissible(table, seed)
+                h.update(repr((perm.mapping, perm.block_perms)).encode())
+    assert h.hexdigest() == RANDOM_DIGEST
+
+
+def test_explicit_layer_keeps_only_the_mapping(model_b):
+    # F_n's mapping is the one explicit permutation structure: no class
+    # lists or step classes are cached, and no permutation stores its ranks
+    table = build_value_table(model_b, 3)
+    canon = canonical_permutation(table)
+    assert verify_admissible(table, canon)
+    rand = random_admissible(table, 3)
+    back = perm_from_representation(table, representation_from_perm(table, rand))
+    assert back == rand
+    for key in ("weight_class_lists", "step_classes"):
+        assert key not in table._cache
+    for perm in (canon, rand, back):
+        assert "block_perms" not in vars(perm)
 
 
 def test_random_admissible_trivial_space(tables):

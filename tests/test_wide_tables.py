@@ -1,8 +1,9 @@
-"""Value tables at the composition budget: the M = 2 Haar model at width 63.
+"""Wide tables in bounded memory: the M = 2 Haar model at width 63, and
+the explicit layer of A at width 22.
 
 perfbench/inputs/haar_m2.json at n = 21 has 1,184,040 compositions in
 618,391 classes, the largest table MAX_COMPOSITIONS admits for M = 2.
-The build runs in a child process so that its wall time and peak RSS
+Each check runs in a child process so that its wall time and peak RSS
 are its own, not the test session's.
 """
 
@@ -37,16 +38,39 @@ print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxr
 """
 
 
-def test_haar_m2_width_63_table_and_lazy_f():
+CHAIN = """
+import resource
+from quantperm import build_value_table, builtin_model, canonical_permutation
+from quantperm.representation import representation_failure, representation_from_perm
+
+table = build_value_table(builtin_model("A"), 22)
+rep = representation_from_perm(table, canonical_permutation(table))
+assert representation_failure(table, rep) is None
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _child(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(HAAR_M2)],
+        [sys.executable, "-c", *argv],
         capture_output=True, text=True, timeout=60, env=env, check=False,
     )
     assert done.returncode == 0, done.stderr
-    seconds, peak_kb = done.stdout.split()
+    return done.stdout.split()
+
+
+def test_haar_m2_width_63_table_and_lazy_f():
+    seconds, peak_kb = _child(CHILD, str(HAAR_M2))
     assert float(seconds) < 60
     assert int(peak_kb) < 1024 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_explicit_chain_at_width_22_in_bounded_memory():
+    # F_n, its representation and the representation check on A n = 22
+    # (4.2M levels) keep one mapping and the weight classes
+    (peak_kb,) = _child(CHAIN)
+    assert int(peak_kb) < 350 * 1024
 
 
 def test_one_past_the_budget_is_refused(time_limit):
