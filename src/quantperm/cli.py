@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bench import bench_scaling, selftest
 from .errors import DomainError
@@ -26,6 +26,7 @@ from .indexing import (
     beta_fast_trace,
     istep,
     iweight,
+    weight_classes,
 )
 from .multinomial import ValueTable, build_value_table
 from .outcomes import (
@@ -37,6 +38,8 @@ from .outcomes import (
     theta_squared,
 )
 from .permutations import (
+    _canonical_inverse,
+    _canonical_mapping,
     admissibility_failure,
     canonical_permutation,
     count_admissible,
@@ -109,7 +112,12 @@ def _cmd_model(args) -> int:
     else:
         raise DomainError("model: need --model FILE or --builtin NAME")
     if args.out:
-        save_model(model, args.out)
+        try:
+            save_model(model, args.out)
+        except OSError as e:
+            raise DomainError(
+                f"cannot write model file {args.out}: {e.strerror or e}"
+            ) from None
     doc = model_to_json(model)
     doc["m"] = model.m
     doc["mean"] = model.mean.text()
@@ -167,29 +175,40 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _levels(args, table: ValueTable) -> Sequence[int]:
+def _rows(args, table: ValueTable, lazy, listing) -> Iterable[Tuple[int, int]]:
+    """(ell, value) at the addressed levels: lazy(table, ell) at --ell, and
+    at --all the pairs listing(table) streams in level order from the
+    explicit tables."""
     if args.all:
         _require_explicit(table.width, "--all listings")
-        return range(table.num_indices)
+        return listing(table)
     if args.ell is None:
         raise DomainError("need --ell L or --all")
-    return [args.ell]
+    return [(args.ell, lazy(table, args.ell))]
+
+
+def _step_rows(table: ValueTable) -> Iterator[Tuple[int, int]]:
+    """(ell, istep(ell)) over the step blocks [SMC(t), SMC(t+1))."""
+    smc = table.smc
+    for t in range(table.T + 1):
+        for ell in range(smc[t], smc[t + 1]):
+            yield ell, t
 
 
 def _cmd_step(args) -> int:
-    return _emit_classes(args, istep)
+    return _emit_classes(args, istep, _step_rows)
 
 
 def _cmd_weight(args) -> int:
-    return _emit_classes(args, iweight)
+    return _emit_classes(args, iweight, lambda table: enumerate(weight_classes(table)))
 
 
-def _emit_classes(args, cls) -> int:
-    """'ell,t,value' for t = cls(ell) at the addressed levels; CSV streams."""
+def _emit_classes(args, lazy, listing) -> int:
+    """'ell,t,value' for the class t of each addressed level; CSV streams."""
     model = _load(args.model)
     table = build_value_table(model, args.n)
     values = table.values
-    rows = ((ell, cls(table, ell)) for ell in _levels(args, table))
+    rows = _rows(args, table, lazy, listing)
     if args.format == "json":
         doc = [{"ell": e, "t": t, "value": values[t].text()} for e, t in rows]
         print(json.dumps(doc, indent=2))
@@ -215,8 +234,13 @@ def _cmd_beta(args) -> int:
         lines = [f"{zeta},{contrib}" for zeta, contrib in walk.steps]
         lines.append(f"self,{walk.self_term}")
         lines.append(f"total,{walk.total}")
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as e:
+            raise DomainError(
+                f"cannot write trace file {args.trace}: {e.strerror or e}"
+            ) from None
     if args.format == "json":
         doc = {"t": args.t, "xi": args.xi}
         if use_fast:
@@ -231,24 +255,28 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_fperm(args) -> int:
-    return _emit_pairs(args, f_perm)
+    return _emit_pairs(
+        args, f_perm, lambda table: enumerate(_canonical_mapping(table))
+    )
 
 
 def _cmd_invf(args) -> int:
-    return _emit_pairs(args, inv_f)
+    return _emit_pairs(
+        args, inv_f, lambda table: enumerate(_canonical_inverse(table))
+    )
 
 
-def _emit_pairs(args, fn) -> int:
-    """fn at the addressed levels: one value, or streamed 'ell,value' rows."""
+def _emit_pairs(args, lazy, listing) -> int:
+    """One value at --ell, or streamed 'ell,value' rows at --all."""
     model = _load(args.model)
     table = build_value_table(model, args.n)
-    rows = ((ell, fn(table, ell)) for ell in _levels(args, table))
+    rows = _rows(args, table, lazy, listing)
     if args.format == "json":
         print(json.dumps([[e, v] for e, v in rows]))
     elif args.all:
         _emit(f"{e},{v}" for e, v in rows)
     else:
-        print(next(rows)[1])
+        print(rows[0][1])
     return 0
 
 

@@ -9,8 +9,12 @@ Conventions, fixed once and used everywhere:
   within-chunk offset p = zeta - (i-1)(M+1).
 * decode maps ell to the outcome ranks (s_1, ..., s_n) of its chunks;
   increasing ell is exactly lexicographic order on decoded sequences.
+  A level also splits into a high half-row (its first n//2 chunks) and
+  a low one (_half_rows), and the explicit maps read levels that way.
 * iweight(ell) is the value class of the decoded sum (the weight-side
-  class); istep(ell) is the unique t with SMC(t) <= ell < SMC(t+1) (the
+  class), looked up by the sum of its chunks' lattice codes (see
+  multinomial); weight_classes adds a code per half-row instead.
+  istep(ell) is the unique t with SMC(t) <= ell < SMC(t+1) (the
   step-side class).  is_n / is_star are the corresponding class values;
   is_star over ell = 0..m^n-1 is the sorted rearrangement of is_n.
 * alpha(t, xi)  = |{ell in [0, xi] : istep(ell)  = t}|   (closed form),
@@ -96,12 +100,12 @@ def encode_weight_index(model: OutcomeModel, svec: Sequence[int]) -> int:
 
 
 def iweight(table: ValueTable, ell: int) -> int:
-    """Value class of the decoded sum at ell (weight side)."""
+    """Value class of the decoded sum at ell (weight side): the class of
+    the sum of its chunks' lattice codes."""
     _check_level(table, ell)
-    freq = [0] * table.model.m
-    for s in decode_weight_index(table.model, table.n, ell):
-        freq[s - 1] += 1
-    return table.class_of(freq)
+    codes = table.codes
+    svec = decode_weight_index(table.model, table.n, ell)
+    return table._class_by_code[sum([codes[s - 1] for s in svec])]
 
 
 def istep(table: ValueTable, ell: int) -> int:
@@ -316,39 +320,35 @@ def rib(table: ValueTable, t: int, ell: int) -> bool:
 # -- exhaustive per-table maps (cached; table-side, no oracle counting) ------
 
 
+def _half_rows(table: ValueTable):
+    """Every high (first n//2 ranks) and low half-row, and the low half's
+    bit width: row ell is hi[ell >> shift] + lo[ell & mask], because
+    product order is level order."""
+    lut = table.model._index_of_chunk
+    h = table.n // 2
+    shift = (table.n - h) * (table.model.M + 1)
+    return list(product(lut, repeat=h)), list(product(lut, repeat=table.n - h)), shift
+
+
 def weight_classes(table: ValueTable) -> List[int]:
     """iweight of every level index, materialized once per table.
 
-    Composition k is coded as sum k_s (n+1)^(s-1), injective since every
-    k_s <= n, so a level's code is the sum of its chunks' codes.  A level
-    is a high half of n//2 chunks followed by a low half, so in level
-    order its codes are each high-half code plus each low-half code; each
-    half list holds only about m^(n/2) codes.
+    A level's lattice code is the sum of its chunks' codes, and a level
+    is a high half-row followed by a low one, so in level order its codes
+    are each high half's code plus each low half's code; each half list
+    holds only about m^(n/2) codes.
     """
     _require_explicit(table.width, "explicit level tables")
     cached = table._cache.get("weight_classes")
     if cached is not None:
         return cached
-    n = table.n
-    base = n + 1
-    unit = [base ** (s - 1) for s in table.model._index_of_chunk]
-    cls = {
-        sum(ks * base**s for s, ks in enumerate(k)): t
-        for k, t in table._class_index.items()
-    }
-    hi = _chunk_codes(unit, n // 2)
-    lo = _chunk_codes(unit, n - n // 2)
+    codes = table.codes
+    hi, lo, _ = _half_rows(table)
+    hi, lo = ([sum([codes[s - 1] for s in row]) for row in half] for half in (hi, lo))
+    cls = table._class_by_code
     out = [cls[h + l] for h in hi for l in lo]
     table._cache["weight_classes"] = out
     return out
-
-
-def _chunk_codes(unit: List[int], r: int) -> List[int]:
-    """Codes of all r-chunk sequences in level order (first chunk slowest)."""
-    codes = [0]
-    for _ in range(r):
-        codes = [c + u for c in codes for u in unit]
-    return codes
 
 
 def step_classes(table: ValueTable) -> List[int]:

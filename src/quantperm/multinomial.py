@@ -19,6 +19,11 @@ One ExactScalar is made per class; none per composition.  A table
 wider than MAX_WIDTH bits or of more than MAX_COMPOSITIONS compositions
 is refused before enumeration.
 
+That int is also the class's lookup key: the table keeps each outcome's
+lattice code (codes) and a dict from class code to t, so a composition's
+class is the class of sum_s k_s codes[s], and a level's class is the
+class of the sum of its chunks' codes.
+
 tau1 is the class-membership oracle: tau1(k, t) = 1 iff composition k
 lies in class t.  Algorithms downstream are measured by how many tau1
 queries they issue, so every query (including bulk scans over all of
@@ -44,7 +49,7 @@ Composition = Tuple[int, ...]
 
 # Largest |K_n| build_value_table enumerates.  It admits the 8-outcome
 # Haar model of perfbench/inputs/haar_m2.json at n = 21 (width 63,
-# 1,184,040 compositions, about 620 MB peak RSS for the whole table)
+# 1,184,040 compositions, about 585 MB peak RSS for the whole table)
 # and refuses n = 22 (1,560,780).
 MAX_COMPOSITIONS = 1_200_000
 
@@ -111,14 +116,19 @@ class ValueTable:
     compositions in class t, lex order), coefs[t] (their multinomial
     coefficients, aligned with members[t]), gammas[t], smc[0..T+1],
     with T = len(values) - 1.  width = n*(M+1) and
-    num_indices = 2^width = m^n.
+    num_indices = 2^width = m^n.  codes[s - 1] is outcome s's lattice
+    code and _class_by_code maps each class's code, sum_s k_s codes[s - 1]
+    for any member k, to t.
     """
 
-    def __init__(self, model: OutcomeModel, n: int, values, members, coefs):
+    def __init__(
+        self, model: OutcomeModel, n: int, values, members, coefs, codes, class_codes
+    ):
         self.model = model
         self.n = n
         self.width = n * (model.M + 1)
         self.num_indices = model.m**n
+        self.num_compositions = composition_count(n, model.m)
         self.values = tuple(values)
         self.T = len(self.values) - 1
         self.members = tuple(members)
@@ -128,9 +138,8 @@ class ValueTable:
         for g in self.gammas:
             smc.append(smc[-1] + g)
         self.smc = tuple(smc)
-        self._class_index = {
-            k: t for t, ks in enumerate(self.members) for k in ks
-        }
+        self.codes = tuple(codes)
+        self._class_by_code = {c: t for t, c in enumerate(class_codes)}
         self.stats = OracleStats()
         self._cache: dict = {}
 
@@ -139,11 +148,9 @@ class ValueTable:
     def tau1(self, k: Sequence[int], t: int) -> int:
         """1 iff composition k lies in class t; one counted query."""
         self._check_class(t)
-        key = tuple(k)
-        if key not in self._class_index:
-            raise DomainError(f"{key!r} is not a composition of {self.n} into {self.model.m} parts")
+        c = self.class_of(k)
         self.stats.tau1_queries += 1
-        return 1 if self._class_index[key] == t else 0
+        return 1 if c == t else 0
 
     def tau1_members(self, t: int) -> Tuple[Composition, ...]:
         """Compositions of class t via a bulk tau1 scan over all of K_n.
@@ -156,19 +163,27 @@ class ValueTable:
 
     def _tau1_scan(self, t: int) -> Tuple[Composition, ...]:
         """tau1_members for a class t the caller has already checked."""
-        self.stats.tau1_queries += len(self._class_index)
+        self.stats.tau1_queries += self.num_compositions
         return self.members[t]
 
     # -- table side (uncounted; validation and construction) ----------------
 
     def class_of(self, k: Sequence[int]) -> int:
+        """The class of composition k: the class of its lattice code.
+
+        k is checked first: a tuple that is not a composition, such as
+        (2, 0, -1, 1) for B at n = 2, can still sum to a class's code.
+        """
         key = tuple(k)
-        try:
-            return self._class_index[key]
-        except KeyError:
+        if (
+            len(key) != self.model.m
+            or not all(isinstance(x, int) and x >= 0 for x in key)
+            or sum(key) != self.n
+        ):
             raise DomainError(
                 f"{key!r} is not a composition of {self.n} into {self.model.m} parts"
-            ) from None
+            )
+        return self._class_by_code[sum(map(int.__mul__, key, self.codes))]
 
     def gamma(self, t: int) -> int:
         self._check_class(t)
@@ -265,7 +280,7 @@ def _build(model: OutcomeModel, n: int) -> ValueTable:
         entry = classes.pop(c)
         members.append(tuple(entry[0::2]))
         coefs.append(tuple(entry[1::2]))
-    return ValueTable(model, n, values, members, coefs)
+    return ValueTable(model, n, values, members, coefs, code, order)
 
 
 def _lattice_half(r: int, code: Sequence[int]):

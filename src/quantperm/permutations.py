@@ -33,8 +33,9 @@ The characterizing relation: ell' = F_n(ell) is the unique solution of
 from __future__ import annotations
 
 import random
+from itertools import count
 from math import factorial, prod
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .indexing import (
@@ -78,22 +79,31 @@ def gamma_relation(table: ValueTable, ell: int, ellp: int) -> bool:
     return beta_fast(table, t, ellp) * chi == alpha(table, t, ell)
 
 
+def _canonical_inverse(table: ValueTable) -> Iterator[int]:
+    """F_n^{-1}(ell) for ell = 0, 1, ... in level order (explicit width).
+
+    The counting pass over weight_classes: F_n^{-1}(ell) is SMC(t) plus
+    the number of class-t levels before ell, t = iweight(ell), so one
+    running count per class, started at SMC(t), streams the inverse
+    without a list.
+    """
+    slots = [count(start) for start in table.smc[:-1]]
+    return map(next, map(slots.__getitem__, weight_classes(table)))
+
+
 def _canonical_mapping(table: ValueTable) -> Tuple[int, ...]:
     """F_n's explicit mapping, cached once per table (explicit-width only).
 
-    A counting sort of the levels by weight class: one pass over
-    weight_classes with one next slot per class, starting at SMC(t), so
-    IB_{n,t} fills [SMC(t), SMC(t+1)) in level order.
+    A counting sort of the levels by weight class: it places each ell at
+    F_n^{-1}(ell), so IB_{n,t} fills [SMC(t), SMC(t+1)) in level order.
     """
     _require_explicit(table.width)
     cached = table._cache.get("canonical_mapping")
     if cached is not None:
         return cached
-    slot = list(table.smc[:-1])
     mapping = [0] * table.num_indices
-    for ell, t in enumerate(weight_classes(table)):
-        mapping[slot[t]] = ell
-        slot[t] += 1
+    for ell, slot in enumerate(_canonical_inverse(table)):
+        mapping[slot] = ell
     cached = table._cache["canonical_mapping"] = tuple(mapping)
     return cached
 

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .indexing import _require_explicit, decode_weight_index
+from .indexing import _half_rows, _require_explicit, decode_weight_index
 from .multinomial import ValueTable
 from .permutations import (
     AdmissiblePermutation,
@@ -120,16 +119,6 @@ def representation_failure(
     return admissibility_failure(table, rep.levels)
 
 
-def _half_rows(table: ValueTable):
-    """Every high (first n//2 ranks) and low half-row, and the low half's
-    bit width: row ell is hi[ell >> shift] + lo[ell & mask], because
-    product order is level order."""
-    lut = table.model._index_of_chunk
-    h = table.n // 2
-    shift = (table.n - h) * (table.model.M + 1)
-    return list(product(lut, repeat=h)), list(product(lut, repeat=table.n - h)), shift
-
-
 def _decoded_rows(table: ValueTable, levels: Iterable[int]) -> Iterator[Tuple[int, ...]]:
     hi, lo, shift = _half_rows(table)
     mask = (1 << shift) - 1
@@ -143,8 +132,8 @@ def _row_levels(table: ValueTable, rows: Iterable[Sequence[int]]) -> List[int]:
     non-rank entry misses a dict.
     """
     hi, lo, shift = _half_rows(table)
+    h = len(hi[0])  # ranks in a high half-row
     hi, lo = ({ranks: code for code, ranks in enumerate(half)} for half in (hi, lo))
-    h = table.n // 2
     levels = []
     for ell, row in enumerate(rows):
         try:

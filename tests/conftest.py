@@ -63,21 +63,27 @@ def tables():
     return table_for
 
 
-@pytest.fixture
-def time_limit():
-    """Context manager: fail with TimeoutError after the given seconds."""
+@contextmanager
+def wall_limit(seconds):
+    """Fail with TimeoutError after the given seconds of wall time.
+
+    A plain context manager, so a Hypothesis test can bound each example
+    by importing it (function-scoped fixtures are not reset per example).
+    """
 
     def _expired(signum, frame):
         raise TimeoutError("time limit exceeded")
 
-    @contextmanager
-    def _limit(seconds):
-        old = signal.signal(signal.SIGALRM, _expired)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
+    old = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
-    return _limit
+
+@pytest.fixture
+def time_limit():
+    """Context manager: fail with TimeoutError after the given seconds."""
+    return wall_limit

@@ -15,7 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantperm import DomainError, build_value_table, builtin_model, cli, load_model
+from conftest import wall_limit
+from quantperm import (
+    DomainError,
+    build_value_table,
+    builtin_model,
+    cli,
+    f_perm,
+    inv_f,
+    istep,
+    iweight,
+    load_model,
+)
 from quantperm.permutations import admissibility_failure
 
 
@@ -31,6 +42,25 @@ def test_fperm_all_golden(capsys):
     )
     assert code == 0 and err == ""
     assert out == "0,3\n1,1\n2,2\n3,0\n"
+
+
+@pytest.mark.parametrize("name, n", [("A", 6), ("B", 3)])
+def test_all_listings_match_the_lazy_rule(capsys, name, n):
+    # --all reads the explicit tables, --ell the lazy rule
+    table = build_value_table(builtin_model(name), n)
+    for command, lazy in (
+        ("step", istep), ("weight", iweight), ("fperm", f_perm), ("invf", inv_f)
+    ):
+        code, out, err = run(
+            capsys, command, "--model", f"builtin:{name}", "--n", str(n), "--all"
+        )
+        assert code == 0 and err == ""
+        want = []
+        for ell in range(table.num_indices):
+            v = lazy(table, ell)
+            value = f",{table.values[v].text()}" if lazy in (istep, iweight) else ""
+            want.append(f"{ell},{v}{value}")
+        assert out.splitlines() == want, command
 
 
 def test_fperm_single_and_invf(capsys):
@@ -93,6 +123,13 @@ def test_model_save_and_reload(capsys, tmp_path):
     assert out1 == out2
     code, reloaded_out, _ = run(capsys, "model", "--model", str(path))
     assert code == 0 and reloaded_out == builtin_out
+
+
+def test_unwritable_model_out_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "m.json"
+    code, out, err = run(capsys, "model", "--builtin", "A", "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "cannot write model file" in err
 
 
 def test_malformed_model_file(capsys, tmp_path):
@@ -223,10 +260,11 @@ def test_model_and_perm_files_return_or_raise_domain_error(model, perm):
         model_path, perm_path = Path(tmp) / "model.json", Path(tmp) / "perm.csv"
         model_path.write_bytes(model)
         perm_path.write_bytes(perm)
-        with suppress(DomainError):
-            load_model(str(model_path))
-        with suppress(DomainError):
-            admissibility_failure(table, cli._load_perm_file(str(perm_path), table))
+        with wall_limit(1):
+            with suppress(DomainError):
+                load_model(str(model_path))
+            with suppress(DomainError):
+                admissibility_failure(table, cli._load_perm_file(str(perm_path), table))
 
 
 def test_usage_errors_exit_2(capsys):
@@ -253,6 +291,16 @@ def test_beta_fast_brute_and_trace(capsys, tmp_path):
     )
     assert code == 0 and out == "1\n"
     assert trace.read_text() == "1,0\n3,0\n4,0\nself,1\ntotal,1\n"
+
+
+def test_unwritable_beta_trace_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "walk.csv"
+    code, out, err = run(
+        capsys, "beta", "--model", "builtin:B", "--n", "2",
+        "--t", "1", "--xi", "11", "--trace", str(path),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "cannot write trace file" in err
 
 
 def test_beta_brute_refused_beyond_explicit_width(capsys, time_limit):

@@ -7,6 +7,7 @@ zero for the magnitudes generated here unless the value is exactly 0,
 which the exact path detects symbolically).
 """
 
+from contextlib import suppress
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wall_limit
 from quantperm import DomainError, ExactScalar, parse_scalar
 from quantperm.exactnum import MAX_RADICAND, _is_square_free
 
@@ -155,6 +157,24 @@ def test_parse_variants():
     assert parse_scalar("-sqrt(2) + 1") == R2(1, -1)
     assert parse_scalar("  2  ") == ExactScalar(2)
     assert parse_scalar("5", d=2) == ExactScalar(5, 0, 2)
+
+
+# text near the grammar (digits, signs, '/', '*', sqrt) and arbitrary text
+scalar_texts = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789+-*/() sqrt", max_size=40),
+    st.lists(
+        st.sampled_from(["1", "-", "+", "/", "0", "*", " ", "sqrt(", ")", "2", "9" * 5000]),
+        max_size=8,
+    ).map("".join),
+)
+
+
+@given(text=scalar_texts, d=st.one_of(st.none(), st.integers(min_value=-3, max_value=12)))
+@settings(max_examples=500, deadline=None)
+def test_parse_scalar_returns_or_raises_domain_error(text, d):
+    with wall_limit(1), suppress(DomainError):
+        assert isinstance(parse_scalar(text, d), ExactScalar)
 
 
 def test_parse_rejects_garbage():

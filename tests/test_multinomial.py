@@ -184,6 +184,49 @@ def test_tau1_and_counting(tables):
         table.tau1((2, 0, 0, 0), 99)
 
 
+# B at n = 2: (2, 0, -1, 1) is not a composition, but its lattice code
+# -6 - 1 + 3 = -4 is the code of class 1 (value -4)
+NON_COMPOSITIONS = [
+    (2, 0, -1, 1),
+    (1, 0, 1),
+    (1, 0, 0, 1, 0),
+    (1, 0, 0, "1"),
+    (1.0, 0, 0, 1.0),
+    (1, 1, 1, 1),
+]
+
+
+@pytest.mark.parametrize("k", NON_COMPOSITIONS)
+def test_class_of_and_tau1_refuse_non_compositions(tables, k):
+    table = tables("B", 2)
+    with pytest.raises(DomainError, match="not a composition of 2 into 4 parts"):
+        table.class_of(k)
+    with pytest.raises(DomainError, match="not a composition of 2 into 4 parts"):
+        table.tau1(k, 1)
+
+
+@given(
+    case=st.sampled_from([("A", 5), ("B", 2), ("B", 3), ("C", 3)]),
+    k=st.lists(st.integers(min_value=-2, max_value=5), max_size=5),
+    to_n=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_class_of_is_the_exact_sum_or_refused(tables, case, k, to_n):
+    name, n = case
+    table = tables(name, n)
+    model = table.model
+    if to_n and k:  # sum to n, so only a length or a negative entry is wrong
+        k[-1] = n - sum(k[:-1])
+    try:
+        t = table.class_of(k)
+    except DomainError:
+        assert len(k) != model.m or min(k) < 0 or sum(k) != n
+        return
+    assert table.values[t] == sum(
+        (ks * o for ks, o in zip(k, model.outcomes)), model.zero()
+    )
+
+
 def test_tau1_partition_property(tables):
     table = tables("B", 2)
     for k in enumerate_compositions(2, 4):

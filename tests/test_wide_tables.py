@@ -27,7 +27,7 @@ from quantperm import build_value_table, f_perm, gamma_relation, inv_f, load_mod
 t0 = time.perf_counter()
 table = build_value_table(load_model(sys.argv[1]), 21)
 assert table.width == 63
-assert len(table._class_index) == 1_184_040 and table.T + 1 == 618_391
+assert sum(map(len, table.members)) == 1_184_040 and table.T + 1 == 618_391
 assert table.smc[-1] == sum(table.gammas) == 8**21
 rng = random.Random(63)
 for ell in [0, table.num_indices - 1] + [rng.randrange(table.num_indices) for _ in range(6)]:
