@@ -7,8 +7,9 @@ into classes with multinomial counts; the index machinery ranks the
 2^(n(M+1)) outcome sequences on the step side (sorted) and weight side
 (decoded); admissible permutations carry one side onto the other, with
 F_n the canonical one computable lazily in polynomially many tau1
-queries; representations decode a permutation into an outcome-rank
-array satisfying the row-sum, marginal and bijection invariants.
+queries; an explicit admissible permutation is also its representation,
+the outcome-rank array whose rows decode its levels and satisfy the
+row-sum, marginal and bijection invariants.
 """
 
 from .errors import DomainError
@@ -64,7 +65,6 @@ from .permutations import (
 )
 from .layout import BitString, LayoutModel, eval_partial_sum, weight_index_of_bits
 from .representation import (
-    Representation,
     clt_table,
     normal_cdf,
     perm_from_representation,
@@ -85,7 +85,6 @@ __all__ = [
     "LayoutModel",
     "OracleStats",
     "OutcomeModel",
-    "Representation",
     "ValueTable",
     "alpha",
     "bench_scaling",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -189,7 +190,7 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     out.append(_result("alpha-beta-gamma", n, table.T + 1, bad == 0))
 
     # F is admissible and inv_f inverts it
-    mapping = [f_perm(table, ell) for ell in range(table.num_indices)]
+    mapping = array("I", (f_perm(table, ell) for ell in range(table.num_indices)))
     reason = admissibility_failure(table, mapping)
     bad_inv = sum(
         1 for ell, ellp in enumerate(mapping) if inv_f(table, ellp) != ell

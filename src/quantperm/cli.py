@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .bench import bench_scaling, selftest
 from .errors import DomainError
 from .indexing import (
+    _decoded_rows,
     _require_explicit,
     alpha,
     beta_bruteforce,
@@ -47,7 +49,7 @@ from .permutations import (
     inv_f,
     random_admissible,
 )
-from .representation import _decoded_rows, clt_table, representation_from_perm
+from .representation import clt_table, representation_from_perm
 
 
 def _load(spec: str) -> OutcomeModel:
@@ -66,39 +68,43 @@ def _json_int(x: int):
     return str(x)
 
 
-def _load_perm_file(path: str, table: ValueTable) -> List[int]:
+def _load_perm_file(path: str, table: ValueTable) -> memoryview:
+    """The 'ell,pi(ell)' rows of a permutation file, in any order, as a
+    read-only array('I') view; every level and image lies in [0, m^n)."""
     _require_explicit(table.width, "permutation files")
+    num = table.num_indices
+    mapping = array("I", [num]) * num  # num marks a level with no row yet
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split(",")  # int() ignores surrounding whitespace
+                if len(parts) != 2:
+                    if not line.strip():
+                        continue
+                    raise DomainError(
+                        f"{path}:{lineno}: expected 'ell,pi(ell)', got {line.strip()!r}"
+                    )
+                try:
+                    ell, ellp = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise DomainError(
+                        f"{path}:{lineno}: non-integer entry in {line.strip()!r}"
+                    ) from None
+                if not 0 <= ell < num:
+                    raise DomainError(f"{path}:{lineno}: level index {ell} out of range")
+                if not 0 <= ellp < num:
+                    raise DomainError(f"{path}:{lineno}: image {ellp} out of range [0, {num})")
+                if mapping[ell] != num:
+                    raise DomainError(f"{path}:{lineno}: duplicate row for level {ell}")
+                mapping[ell] = ellp
     except OSError as e:
         raise DomainError(f"cannot read permutation file {path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
         raise DomainError(f"permutation file {path} is not UTF-8 text: {e}") from None
-    mapping = [-1] * table.num_indices
-    filled = 0
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DomainError(f"{path}:{lineno}: expected 'ell,pi(ell)', got {line!r}")
-        try:
-            ell, ellp = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DomainError(f"{path}:{lineno}: non-integer entry in {line!r}")
-        if not 0 <= ell < table.num_indices:
-            raise DomainError(f"{path}:{lineno}: level index {ell} out of range")
-        if mapping[ell] != -1:
-            raise DomainError(f"{path}:{lineno}: duplicate row for level {ell}")
-        mapping[ell] = ellp
-        filled += 1
-    if filled != table.num_indices:
-        raise DomainError(
-            f"{path}: {filled} rows, expected {table.num_indices} (one per level)"
-        )
-    return mapping
+    missing = mapping.count(num)
+    if missing:
+        raise DomainError(f"{path}: {num - missing} rows, expected {num} (one per level)")
+    return memoryview(mapping).toreadonly()
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -207,13 +213,15 @@ def _emit_classes(args, lazy, listing) -> int:
     """'ell,t,value' for the class t of each addressed level; CSV streams."""
     model = _load(args.model)
     table = build_value_table(model, args.n)
-    values = table.values
     rows = _rows(args, table, lazy, listing)
+    # each class's text once; --ell formats only its own class
+    classes = range(table.T + 1) if args.all else [rows[0][1]]
+    texts = {t: table.values[t].text() for t in classes}
     if args.format == "json":
-        doc = [{"ell": e, "t": t, "value": values[t].text()} for e, t in rows]
+        doc = [{"ell": e, "t": t, "value": texts[t]} for e, t in rows]
         print(json.dumps(doc, indent=2))
     else:
-        _emit(f"{e},{t},{values[t].text()}" for e, t in rows)
+        _emit(f"{e},{t},{texts[t]}" for e, t in rows)
     return 0
 
 
@@ -323,9 +331,9 @@ def _cmd_random(args) -> int:
     table = build_value_table(model, args.n)
     perm = random_admissible(table, args.seed)
     if args.format == "json":
-        print(json.dumps([[e, v] for e, v in perm.pairs()]))
+        print(json.dumps([[e, v] for e, v in enumerate(perm.mapping)]))
     else:
-        _emit(f"{e},{v}" for e, v in perm.pairs())
+        _emit(f"{e},{v}" for e, v in enumerate(perm.mapping))
     return 0
 
 
@@ -337,7 +345,7 @@ def _cmd_repr(args) -> int:
     else:
         perm = canonical_permutation(table)
     rep = representation_from_perm(table, perm)
-    rows = _decoded_rows(table, rep.levels)
+    rows = _decoded_rows(table, rep.mapping)
     if args.format == "json":
         doc = [{"ell": ell, "ranks": list(row)} for ell, row in enumerate(rows)]
         print(json.dumps(doc))

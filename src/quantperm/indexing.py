@@ -10,7 +10,8 @@ Conventions, fixed once and used everywhere:
 * decode maps ell to the outcome ranks (s_1, ..., s_n) of its chunks;
   increasing ell is exactly lexicographic order on decoded sequences.
   A level also splits into a high half-row (its first n//2 chunks) and
-  a low one (_half_rows), and the explicit maps read levels that way.
+  a low one (_half_rows), and the explicit maps read levels that way:
+  _decoded_rows decodes a run of levels and _row_levels encodes rows.
 * iweight(ell) is the value class of the decoded sum (the weight-side
   class), looked up by the sum of its chunks' lattice codes (see
   multinomial); weight_classes adds a code per half-row instead.
@@ -50,10 +51,11 @@ and beta_fast_trace always walk from chunk 1.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exactnum import ExactScalar
@@ -328,6 +330,34 @@ def _half_rows(table: ValueTable):
     h = table.n // 2
     shift = (table.n - h) * (table.model.M + 1)
     return list(product(lut, repeat=h)), list(product(lut, repeat=table.n - h)), shift
+
+
+def _decoded_rows(table: ValueTable, levels: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+    """decode(ell) for each ell of levels, as two half-row lookups."""
+    hi, lo, shift = _half_rows(table)
+    mask = (1 << shift) - 1
+    return (hi[ell >> shift] + lo[ell & mask] for ell in levels)
+
+
+def _row_levels(table: ValueTable, rows: Iterable[Sequence[int]]) -> array:
+    """The level each row decodes from, by one dict lookup per half-row.
+
+    DomainError on a malformed row: a row of the wrong length or with a
+    non-rank entry misses a dict.
+    """
+    hi, lo, shift = _half_rows(table)
+    h = len(hi[0])  # ranks in a high half-row
+    hi, lo = ({ranks: code for code, ranks in enumerate(half)} for half in (hi, lo))
+    levels = array("I")
+    for ell, row in enumerate(rows):
+        try:
+            ranks = tuple(row)
+            levels.append(hi[ranks[:h]] << shift | lo[ranks[h:]])
+        except (KeyError, TypeError):  # TypeError: not iterable, or unhashable
+            raise DomainError(
+                f"row {ell} is {row!r}, not {table.n} outcome ranks in [1, {table.model.m}]"
+            ) from None
+    return levels
 
 
 def weight_classes(table: ValueTable) -> List[int]:

@@ -18,12 +18,17 @@ to tau1 at any width.
 Explicitly, F_n lists IB_{n,0}, IB_{n,1}, ... in level order, so that
 IB_{n,t} fills the step block [SMC(t), SMC(t+1)); it is built once per
 table by a counting sort over weight_classes.  Every other admissible
-permutation is that array with each class's slice reordered, and an
-AdmissiblePermutation stores its level mapping alone: make_admissible
-reads pi(SMC(t) + s - 1) = F_n(SMC(t) + phi_t(s) - 1), blocks_of
-recovers phi_t through F_n^{-1}, and random_admissible shuffles each
-slice of F_n.  Explicit tables are only materialized for
-n(M+1) <= EXPLICIT_WIDTH_LIMIT.
+permutation is that array with each class's slice reordered:
+make_admissible reads pi(SMC(t) + s - 1) = F_n(SMC(t) + phi_t(s) - 1),
+blocks_of recovers phi_t through F_n^{-1}, and random_admissible
+shuffles each slice of F_n.
+
+AdmissiblePermutation is the one explicit level mapping of the package:
+a read-only array('I') view of pi(0), pi(1), ....  It is also the strong
+trim representation of pi (see representation): row ell of the array is
+decode(pi(ell)), decoded when read, and rows given by a caller enter
+through from_rows, which encodes each row once.  Explicit tables are
+only materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
 
 The characterizing relation: ell' = F_n(ell) is the unique solution of
 
@@ -33,17 +38,20 @@ The characterizing relation: ell' = F_n(ell) is the unique solution of
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import count
 from math import factorial, prod
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .indexing import (
-    EXPLICIT_WIDTH_LIMIT,
     _check_level,
+    _decoded_rows,
     _require_explicit,
+    _row_levels,
     alpha,
     beta_fast,
+    decode_weight_index,
     enum_b,
     istep,
     iweight,
@@ -91,8 +99,9 @@ def _canonical_inverse(table: ValueTable) -> Iterator[int]:
     return map(next, map(slots.__getitem__, weight_classes(table)))
 
 
-def _canonical_mapping(table: ValueTable) -> Tuple[int, ...]:
-    """F_n's explicit mapping, cached once per table (explicit-width only).
+def _canonical_mapping(table: ValueTable) -> memoryview:
+    """F_n's explicit mapping as a read-only array('I') view, cached once
+    per table (explicit-width only) and shared by every caller.
 
     A counting sort of the levels by weight class: it places each ell at
     F_n^{-1}(ell), so IB_{n,t} fills [SMC(t), SMC(t+1)) in level order.
@@ -101,32 +110,63 @@ def _canonical_mapping(table: ValueTable) -> Tuple[int, ...]:
     cached = table._cache.get("canonical_mapping")
     if cached is not None:
         return cached
-    mapping = [0] * table.num_indices
+    mapping = array("I", [0]) * table.num_indices
     for ell, slot in enumerate(_canonical_inverse(table)):
         mapping[slot] = ell
-    cached = table._cache["canonical_mapping"] = tuple(mapping)
+    cached = table._cache["canonical_mapping"] = memoryview(mapping).toreadonly()
     return cached
 
 
 class AdmissiblePermutation:
-    """Explicit admissible permutation: its full level mapping.
+    """Explicit admissible permutation and its representation: the level
+    mapping pi, with row ell = decode(pi(ell)) over columns 1..n.
 
     block_perms[t] is the 1-based rank permutation phi_t with
     mapping[enum_a(t, s)] = enum_b(t, phi_t(s)), computed on each read.
     """
 
-    def __init__(self, table: ValueTable, mapping: Sequence[int]):
+    def __init__(self, table: ValueTable, mapping: Iterable[int]):
+        """Keeps mapping if it is a read-only array('I') view, as the
+        cached F_n is, and copies it into one otherwise."""
+        _require_explicit(table.width)
         self.table = table
         self.n = table.n
-        self.width = table.width
-        self.mapping = tuple(mapping)
+        frozen = isinstance(mapping, memoryview) and mapping.readonly
+        if not (frozen and mapping.format == "I"):
+            try:
+                mapping = memoryview(array("I", mapping)).toreadonly()
+            except (TypeError, OverflowError) as e:
+                raise DomainError(f"a level mapping holds ints in [0, 2^32): {e}") from None
+        self.mapping = mapping
+
+    @classmethod
+    def from_rows(cls, table: ValueTable, rows: Iterable[Sequence[int]]):
+        """The mapping whose rows are rows, each encoded once; DomainError
+        on a malformed row.  Admissibility is not checked here."""
+        _require_explicit(table.width)
+        return cls(table, _row_levels(table, rows))
 
     @property
     def block_perms(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(blocks_of(self.table, self.mapping))
 
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(_decoded_rows(self.table, self.mapping))
+
+    def row(self, ell: int) -> Tuple[int, ...]:
+        return decode_weight_index(self.table.model, self.n, self(ell))
+
+    def entry(self, i: int, ell: int) -> int:
+        """IR(i, ell): outcome rank of summand i at level ell (i is 1-based)."""
+        r = self.row(ell)
+        if not 1 <= i <= self.n:
+            raise DomainError(f"summand index {i} out of range [1, {self.n}]")
+        return r[i - 1]
+
     def __call__(self, ell: int) -> int:
-        _check_level(self.table, ell)
+        if not isinstance(ell, int) or not 0 <= ell < len(self.mapping):
+            raise DomainError(f"level index {ell!r} out of range [0, {len(self.mapping)})")
         return self.mapping[ell]
 
     def __len__(self) -> int:
@@ -136,18 +176,6 @@ class AdmissiblePermutation:
         if isinstance(other, AdmissiblePermutation):
             return self.mapping == other.mapping
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.mapping)
-
-    def inverse_mapping(self) -> List[int]:
-        inv = [0] * len(self.mapping)
-        for ell, ellp in enumerate(self.mapping):
-            inv[ellp] = ell
-        return inv
-
-    def pairs(self):
-        return enumerate(self.mapping)
 
     def __repr__(self):
         return f"AdmissiblePermutation(n={self.n}, size={len(self.mapping)})"
@@ -199,7 +227,7 @@ def blocks_of(table: ValueTable, mapping: Sequence[int]) -> List[Tuple[int, ...]
     reason = admissibility_failure(table, mapping)
     if reason is not None:
         raise DomainError(f"mapping is not admissible: {reason}")
-    inv = canonical_permutation(table).inverse_mapping()
+    inv = array("I", _canonical_inverse(table))
     smc = table.smc
     return [
         tuple(inv[ellp] - smc[t] + 1 for ellp in mapping[smc[t]:smc[t + 1]])
@@ -262,13 +290,11 @@ def random_admissible(table: ValueTable, seed: int) -> AdmissiblePermutation:
     """Uniformly random admissible permutation from a seeded generator."""
     canon = _canonical_mapping(table)
     rng = random.Random(seed)
-
-    def shuffled():
-        # shuffle moves positions, not values: shuffling a class's slice
-        # of F_n is applying a shuffled rank permutation to it
-        for lo, hi in zip(table.smc, table.smc[1:]):
-            block = list(canon[lo:hi])
-            rng.shuffle(block)
-            yield from block
-
-    return AdmissiblePermutation(table, shuffled())
+    mapping = array("I")
+    # shuffle moves positions, not values: shuffling a class's slice of
+    # F_n is applying a shuffled rank permutation to it
+    for lo, hi in zip(table.smc, table.smc[1:]):
+        block = canon[lo:hi].tolist()
+        rng.shuffle(block)
+        mapping.extend(block)
+    return AdmissiblePermutation(table, memoryview(mapping).toreadonly())

@@ -16,13 +16,15 @@ Three invariants characterize these arrays:
 
 Conversely, any array with rows drawn bijectively from the outcome
 sequences recovers its permutation by encoding each row, so
-representations and admissible permutations are in bijection.  A
-Representation is stored as that level mapping alone and decodes its
-rows when they are read; rows given by a caller are encoded once, and a
-malformed row is refused there.  The invariants are checked on the
-mapping: it must be admissible (a row sums to IS*_n(ell) iff its class
-is istep(ell), and admissibility includes the bijection, which implies
-the marginals).
+representations and admissible permutations are in bijection, and the
+package keeps one class for both: a representation is an
+AdmissiblePermutation (see permutations), whose rows, row and entry
+decode its level mapping when read.  Rows given by a caller enter
+through AdmissiblePermutation.from_rows, which encodes each row once and
+refuses a malformed one.  The conversions below only check: the
+invariants hold iff the mapping is admissible (a row sums to IS*_n(ell)
+iff its class is istep(ell), and admissibility includes the bijection,
+which implies the marginals).
 
 clt_table compares the exact quantile cdf against the standard normal
 cdf on the standardized grid z_t = v_t / (theta sqrt(n)); the sup
@@ -34,79 +36,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from .errors import DomainError
-from .indexing import _half_rows, _require_explicit, decode_weight_index
+from .indexing import _require_explicit
 from .multinomial import ValueTable
-from .permutations import (
-    AdmissiblePermutation,
-    PermLike,
-    _as_mapping,
-    admissibility_failure,
-)
+from .permutations import AdmissiblePermutation, PermLike, admissibility_failure
 
 
-class Representation:
-    """Outcome-rank array; row ell is decode(levels[ell]), columns 1..n."""
-
-    def __init__(self, table: ValueTable, rows: Iterable[Sequence[int]]):
-        _require_explicit(table.width)
-        self.table = table
-        self.n = table.n
-        self.levels = tuple(_row_levels(table, rows))
-
-    @property
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(_decoded_rows(self.table, self.levels))
-
-    def row(self, ell: int) -> Tuple[int, ...]:
-        if not 0 <= ell < len(self.levels):
-            raise DomainError(f"level index {ell} out of range [0, {len(self.levels)})")
-        return decode_weight_index(self.table.model, self.n, self.levels[ell])
-
-    def entry(self, i: int, ell: int) -> int:
-        """IR(i, ell): outcome rank of summand i at level ell (i is 1-based)."""
-        r = self.row(ell)
-        if not 1 <= i <= self.n:
-            raise DomainError(f"summand index {i} out of range [1, {self.n}]")
-        return r[i - 1]
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __eq__(self, other):
-        if isinstance(other, Representation):
-            return self.levels == other.levels
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Representation(n={self.n}, levels={len(self.levels)})"
-
-
-def representation_from_perm(table: ValueTable, perm: PermLike) -> Representation:
-    """The representation of pi; rejects inadmissible permutations."""
+def _admitted(table: ValueTable, perm: PermLike, what: str) -> AdmissiblePermutation:
+    """perm as an AdmissiblePermutation, after one admissibility check."""
     _require_explicit(table.width)
     reason = admissibility_failure(table, perm)
     if reason is not None:
-        raise DomainError(f"permutation is not admissible: {reason}")
-    rep = Representation.__new__(Representation)  # the mapping needs no encoding
-    rep.table, rep.n, rep.levels = table, table.n, tuple(_as_mapping(perm))
-    return rep
+        raise DomainError(f"{what} is not admissible: {reason}")
+    if isinstance(perm, AdmissiblePermutation):
+        return perm
+    return AdmissiblePermutation(table, perm)
 
 
-def perm_from_representation(
-    table: ValueTable, rep: Representation
-) -> AdmissiblePermutation:
-    """The unique permutation underlying rep: its level mapping."""
-    reason = admissibility_failure(table, rep.levels)
-    if reason is not None:
-        raise DomainError(f"representation is not admissible: {reason}")
-    return AdmissiblePermutation(table, rep.levels)
+def representation_from_perm(table: ValueTable, perm: PermLike) -> AdmissiblePermutation:
+    """The representation of pi (pi itself); rejects inadmissible permutations."""
+    return _admitted(table, perm, "permutation")
+
+
+def perm_from_representation(table: ValueTable, rep: PermLike) -> AdmissiblePermutation:
+    """The unique permutation underlying rep (rep itself), once checked."""
+    return _admitted(table, rep, "representation")
 
 
 def representation_failure(
-    table: ValueTable, rep: Representation, thorough: bool = True
+    table: ValueTable, rep: PermLike, thorough: bool = True
 ) -> Optional[str]:
     """None if the three invariants hold, else a one-line reason.
 
@@ -116,37 +76,10 @@ def representation_failure(
     in every column m^(n-1) times, so a direct tally of the marginals
     could never fail.
     """
-    return admissibility_failure(table, rep.levels)
+    return admissibility_failure(table, rep)
 
 
-def _decoded_rows(table: ValueTable, levels: Iterable[int]) -> Iterator[Tuple[int, ...]]:
-    hi, lo, shift = _half_rows(table)
-    mask = (1 << shift) - 1
-    return (hi[ell >> shift] + lo[ell & mask] for ell in levels)
-
-
-def _row_levels(table: ValueTable, rows: Iterable[Sequence[int]]) -> List[int]:
-    """The level each row decodes from, by one dict lookup per half-row.
-
-    DomainError on a malformed row: a row of the wrong length or with a
-    non-rank entry misses a dict.
-    """
-    hi, lo, shift = _half_rows(table)
-    h = len(hi[0])  # ranks in a high half-row
-    hi, lo = ({ranks: code for code, ranks in enumerate(half)} for half in (hi, lo))
-    levels = []
-    for ell, row in enumerate(rows):
-        try:
-            ranks = tuple(row)
-            levels.append(hi[ranks[:h]] << shift | lo[ranks[h:]])
-        except (KeyError, TypeError):  # TypeError: not iterable, or unhashable
-            raise DomainError(
-                f"row {ell} is {row!r}, not {table.n} outcome ranks in [1, {table.model.m}]"
-            ) from None
-    return levels
-
-
-def verify_representation(table: ValueTable, rep: Representation) -> bool:
+def verify_representation(table: ValueTable, rep: PermLike) -> bool:
     return representation_failure(table, rep) is None
 
 

@@ -430,6 +430,18 @@ def test_perm_file_diagnostics(capsys, tmp_path):
     assert code == 1 and "expected 4" in err
 
 
+@pytest.mark.parametrize("image", [4, -1])
+def test_perm_file_image_out_of_range(capsys, tmp_path, image):
+    # an image outside [0, m^n) is refused at its line, like a bad level
+    path = tmp_path / "perm.csv"
+    path.write_text(f"0,3\n1,{image}\n2,2\n3,0\n")
+    for cmd in ("verify", "repr"):
+        code, out, err = run(
+            capsys, cmd, "--model", "builtin:A", "--n", "2", "--perm", str(path)
+        )
+        assert code == 1 and out == "" and "perm.csv:2:" in err
+
+
 def test_repr_golden(capsys):
     code, out, _ = run(capsys, "repr", "--model", "builtin:A", "--n", "2")
     assert code == 0

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantperm import (
+    AdmissiblePermutation,
     DomainError,
-    Representation,
     alpha,
     beta_bruteforce,
     beta_fast,
@@ -357,7 +357,7 @@ def test_beta_bruteforce_refused_beyond_explicit_width(tables, time_limit):
         with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
             build(table)
     with time_limit(1), pytest.raises(DomainError, match="n\\(M\\+1\\) <= 24"):
-        Representation(table, [])
+        AdmissiblePermutation.from_rows(table, [])
 
 
 # -- the rank walk's per-class checkpoint ------------------------------------

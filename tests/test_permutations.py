@@ -9,12 +9,16 @@ B, n=2:  IB_1 = {11,14}, IB_3 = {3,6,9,12}, ... -> F as below.
 import hashlib
 import math
 import random
+from array import array
 
 import pytest
 
+import quantperm
 from quantperm import (
+    AdmissiblePermutation,
     DomainError,
     build_value_table,
+    builtin_model,
     canonical_permutation,
     count_admissible,
     f_perm,
@@ -26,7 +30,8 @@ from quantperm import (
     random_admissible,
     verify_admissible,
 )
-from quantperm.permutations import admissibility_failure, blocks_of
+from quantperm.indexing import EXPLICIT_WIDTH_LIMIT
+from quantperm.permutations import _canonical_inverse, admissibility_failure, blocks_of
 from quantperm.representation import perm_from_representation, representation_from_perm
 
 F2_A = [3, 1, 2, 0]
@@ -63,8 +68,7 @@ def test_f_admissible_and_invertible(tables):
 
 def test_inverse_mapping(tables):
     table = tables("B", 2)
-    perm = canonical_permutation(table)
-    inv = perm.inverse_mapping()
+    inv = list(_canonical_inverse(table))
     assert inv == [inv_f(table, ellp) for ellp in range(16)]
 
 
@@ -179,7 +183,7 @@ def test_random_admissible_deterministic(tables):
     )
 
 
-# SHA-256 of repr((mapping, block_perms)) for every seed 0-19 on A n <= 16,
+# SHA-256 of repr((tuple(mapping), block_perms)) for every seed 0-19 on A n <= 16,
 # B n <= 5 and C n = 3, taken from the sampler that shuffled each class's
 # rank list 1..gamma_t and assembled the blocks with make_admissible
 RANDOM_DIGEST = "143990d377c10b6c76ae73bfdedcbf65abfc7eff1f2d48052f8762352746100b"
@@ -192,7 +196,7 @@ def test_random_admissible_digest_pinned(tables):
             table = tables(name, n)
             for seed in range(20):
                 perm = random_admissible(table, seed)
-                h.update(repr((perm.mapping, perm.block_perms)).encode())
+                h.update(repr((tuple(perm.mapping), perm.block_perms)).encode())
     assert h.hexdigest() == RANDOM_DIGEST
 
 
@@ -214,7 +218,7 @@ def test_explicit_layer_keeps_only_the_mapping(model_b):
 def test_random_admissible_trivial_space(tables):
     table = tables("A", 1)
     for seed in range(10):
-        assert random_admissible(table, seed).mapping == (1, 0)
+        assert random_admissible(table, seed).mapping.tolist() == [1, 0]
 
 
 def test_random_admissible_uniform_on_a2(tables):
@@ -239,3 +243,29 @@ def test_explicit_width_limit(model_a):
     # the lazy form still works at this width
     assert f_perm(table, 0) == 2**25 - 1
     assert inv_f(table, 2**25 - 1) == 0
+
+
+@pytest.mark.parametrize(
+    "mapping", [[0, -1, 2, 3], [0, 2**32, 1, 2], [0, "a", 1, 2], None]
+)
+def test_mapping_entries_are_unsigned_32_bit_ints(tables, mapping):
+    with pytest.raises(DomainError):
+        AdmissiblePermutation(tables("A", 2), mapping)
+
+
+def test_canonical_mapping_is_one_read_only_array():
+    # a fresh table: the cached F_n is shared by every caller, so it must
+    # refuse writes
+    table = build_value_table(builtin_model("A"), 4)
+    first, second = canonical_permutation(table), canonical_permutation(table)
+    assert first.mapping is second.mapping
+    assert first.mapping.format == "I"
+    with pytest.raises(TypeError):
+        first.mapping[0] = 1
+    # every level of the widest explicit table fits one array entry
+    assert array("I").itemsize * 8 >= EXPLICIT_WIDTH_LIMIT
+
+
+def test_package_names_resolve():
+    for name in quantperm.__all__:
+        assert hasattr(quantperm, name), name

@@ -13,9 +13,9 @@ import mpmath
 import pytest
 
 from quantperm import (
+    AdmissiblePermutation,
     DomainError,
     ExactScalar,
-    Representation,
     build_manual,
     build_value_table,
     builtin_model,
@@ -103,7 +103,7 @@ def test_rejects_inadmissible_perm(tables):
 
 def test_rejects_duplicate_rows(tables):
     table = tables("A", 2)
-    rep = Representation(table, [(1, 1), (2, 1), (2, 1), (2, 2)])
+    rep = AdmissiblePermutation.from_rows(table, [(1, 1), (2, 1), (2, 1), (2, 2)])
     with pytest.raises(DomainError):
         perm_from_representation(table, rep)
     assert representation_failure(table, rep) is not None
@@ -115,12 +115,14 @@ def test_failure_reasons(tables):
     # swapping rows across classes breaks the row sums
     rows = list(good.rows)
     rows[0], rows[1] = rows[1], rows[0]
-    bad = Representation(table, rows)
+    bad = AdmissiblePermutation.from_rows(table, rows)
     reason = representation_failure(table, bad)
     assert reason is not None and "row sum" in reason
     assert not verify_representation(table, bad)
-    short = Representation(table, rows[:2])
+    short = AdmissiblePermutation.from_rows(table, rows[:2])
     assert "expected" in representation_failure(table, short)
+    with pytest.raises(DomainError, match="out of range"):
+        short.row(2)
     # malformed rows are refused at construction: too short ((1,) packed
     # chunk by chunk would be the level of (2, 1)), too long, a rank out
     # of range, non-rank entries
@@ -128,7 +130,7 @@ def test_failure_reasons(tables):
         rows = list(good.rows)
         rows[1] = bad_row
         with pytest.raises(DomainError, match="row 1 is"):
-            Representation(table, rows)
+            AdmissiblePermutation.from_rows(table, rows)
 
 
 def test_stored_as_level_mapping():
@@ -137,11 +139,26 @@ def test_stored_as_level_mapping():
     perm = canonical_permutation(table)
     rep = representation_from_perm(table, perm)
     assert representation_failure(table, rep) is None
-    assert rep.levels == perm.mapping
+    assert rep.mapping == perm.mapping
     assert "decoded_vectors" not in table._cache
     for ell in (0, 1, 511, 1023):
         assert rep.row(ell) == decode_weight_index(table.model, 10, perm(ell))
-    assert Representation(table, rep.rows) == rep
+    assert AdmissiblePermutation.from_rows(table, rep.rows) == rep
+
+
+def test_rows_round_trip_through_from_rows(tables):
+    # one class for both objects: encoding a permutation's rows gives it
+    # back, and its rows and entries decode its levels
+    for name, n in (("A", 4), ("B", 2), ("C", 2)):
+        table = tables(name, n)
+        perms = [canonical_permutation(table)]
+        perms += [random_admissible(table, seed) for seed in range(3)]
+        for perm in perms:
+            assert AdmissiblePermutation.from_rows(table, perm.rows) == perm
+            for ell in range(table.num_indices):
+                want = decode_weight_index(table.model, n, perm(ell))
+                assert perm.row(ell) == want, (name, n, ell)
+                assert [perm.entry(i, ell) for i in range(1, n + 1)] == list(want)
 
 
 def test_normal_cdf_against_high_precision():

@@ -1,10 +1,12 @@
-"""Wide tables in bounded memory: the M = 2 Haar model at width 63, and
-the explicit layer of A at width 22.
+"""Wide tables in bounded memory: the M = 2 Haar model at width 63, the
+explicit layer of A at width 22, and a permutation file at width 20.
 
 perfbench/inputs/haar_m2.json at n = 21 has 1,184,040 compositions in
 618,391 classes, the largest table MAX_COMPOSITIONS admits for M = 2.
 Each check runs in a child process so that its wall time and peak RSS
-are its own, not the test session's.
+are its own, not the test session's.  The child reads its peak as VmHWM:
+Linux carries ru_maxrss across exec, so a child's ru_maxrss is at least
+the peak of the test session that spawned it.
 """
 
 import os
@@ -20,8 +22,20 @@ from quantperm.multinomial import MAX_COMPOSITIONS, composition_count
 ROOT = Path(__file__).resolve().parents[1]
 HAAR_M2 = ROOT / "perfbench" / "inputs" / "haar_m2.json"
 
+PEAK = """
+import resource
+
+
+def peak_kb():
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
 CHILD = """
-import random, resource, sys, time
+import random, sys, time
 from quantperm import build_value_table, f_perm, gamma_relation, inv_f, load_model
 
 t0 = time.perf_counter()
@@ -34,27 +48,38 @@ for ell in [0, table.num_indices - 1] + [rng.randrange(table.num_indices) for _ 
     image = f_perm(table, ell)
     assert gamma_relation(table, ell, image), ell
     assert inv_f(table, image) == ell, ell
-print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(time.perf_counter() - t0, peak_kb())
 """
 
 
 CHAIN = """
-import resource
 from quantperm import build_value_table, builtin_model, canonical_permutation
 from quantperm.representation import representation_failure, representation_from_perm
 
 table = build_value_table(builtin_model("A"), 22)
 rep = representation_from_perm(table, canonical_permutation(table))
 assert representation_failure(table, rep) is None
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peak_kb())
 """
 
 
-def _child(*argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+VERIFY_PERM = """
+import sys
+from quantperm.cli import main
+
+assert main(["verify", "--model", "builtin:A", "--n", "20", "--perm", sys.argv[1]]) == 0
+print(peak_kb())
+"""
+
+
+def _env():
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _child(script, *argv):
     done = subprocess.run(
-        [sys.executable, "-c", *argv],
-        capture_output=True, text=True, timeout=60, env=env, check=False,
+        [sys.executable, "-c", PEAK + script, *argv],
+        capture_output=True, text=True, timeout=60, env=_env(), check=False,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -63,14 +88,28 @@ def _child(*argv):
 def test_haar_m2_width_63_table_and_lazy_f():
     seconds, peak_kb = _child(CHILD, str(HAAR_M2))
     assert float(seconds) < 60
-    assert int(peak_kb) < 1024 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(peak_kb) < 1024 * 1024  # in KiB
 
 
 def test_explicit_chain_at_width_22_in_bounded_memory():
     # F_n, its representation and the representation check on A n = 22
-    # (4.2M levels) keep one mapping and the weight classes
+    # (4.2M levels) keep one 4-byte-per-level mapping and the weight classes
     (peak_kb,) = _child(CHAIN)
-    assert int(peak_kb) < 350 * 1024
+    assert int(peak_kb) < 128 * 1024
+
+
+def test_verify_perm_file_at_width_20_in_bounded_memory(tmp_path):
+    # F_n's own file on A n = 20 (1M rows) streams into one array
+    path = tmp_path / "perm.csv"
+    with path.open("w", encoding="utf-8") as fh:
+        subprocess.run(
+            [sys.executable, "-m", "quantperm.cli", "fperm", "--model", "builtin:A",
+             "--n", "20", "--all"],
+            stdout=fh, timeout=60, env=_env(), check=True,
+        )
+    out, peak_kb = _child(VERIFY_PERM, str(path))
+    assert out == "true"
+    assert int(peak_kb) < 64 * 1024
 
 
 def test_one_past_the_budget_is_refused(time_limit):
