@@ -36,7 +36,7 @@ from .indexing import (
 from .multinomial import ValueTable, build_value_table
 from .outcomes import OutcomeModel, theta_squared
 from .permutations import admissibility_failure, f_perm, inv_f
-from .representation import representation_failure, representation_from_perm
+from .representation import representation_failure
 
 
 @dataclass
@@ -204,8 +204,7 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     out.append(_result("f-inverse", n, table.num_indices, bad_inv == 0))
 
     # representation invariants of the canonical permutation
-    rep = representation_from_perm(table, mapping)
-    reason = representation_failure(table, rep)
+    reason = representation_failure(table, mapping)
     out.append(
         _result(
             "representation", n, table.num_indices,

@@ -31,22 +31,24 @@ beta_fast ranks xi in the counting loop, and enum_b unranks s in the
 same loop: ranking and unranking multiset permutations are one descent
 run in two directions.  The loop fixes the chunks one at a time, most
 significant first, and carries every class-t composition that still
-extends the fixed prefix together with its number of completions.
-Ranking adds to one running count, at every 1-bit zeta of xi, the
-class-t levels that share bits 1..zeta-1 with xi, have bit zeta = 0 and
-are free afterwards; unranking steps into the chunk value whose
-cumulative count reaches s.  The class is known only through the tau1
-oracle: each beta_fast or enum_b call (so each f_perm or inv_f) makes
-exactly one bulk tau1 scan over K_n (|K_n| counted queries) and then
-only counts, so the query total is polynomial in n for fixed M.
+extends the fixed prefix together with its number of completions.  At
+each chunk one pass adds the class-t completions of every chunk value
+below the next chunk to one running count: ranking takes that chunk
+from xi, and unranking stops at the value whose completions bring the
+count to s.  So both directions hold the same state at every depth.
+The class is known only through the tau1 oracle: each beta_fast or
+enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
+over K_n (|K_n| counted queries) and then only counts, so the query
+total is polynomial in n for fixed M.
 
-A rank also keeps one checkpoint per class in the table's cache: its
-state on entering the last chunk, or where the class ran out.  A later
-rank of the same class whose top chunks match starts from there, so
-ranks of neighbouring levels (an exhaustive sweep, or gamma_relation
-after inv_f) count only what differs.  It still pays its bulk tau1 scan;
-table.stats.bigint_ops counts only the arithmetic it does.  Unranking
-and beta_fast_trace always walk from chunk 1.
+Every walk but beta_fast_trace also keeps one checkpoint per class in
+the table's cache: its state on entering the last chunk, or where the
+class ran out.  A later rank of the same class whose top chunks match
+starts from there, so ranks of neighbouring levels (an exhaustive
+sweep, gamma_relation after inv_f, or inv_f after f_perm) count only
+what differs.  It still pays its bulk tau1 scan; table.stats.bigint_ops
+counts only the arithmetic it does.  Unranking and beta_fast_trace
+always walk from chunk 1.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exactnum import ExactScalar
@@ -128,8 +130,8 @@ def is_star(table: ValueTable, ell: int) -> ExactScalar:
 
 def tau2(model: OutcomeModel, n: int, s: int, ell: int, b: int) -> int:
     """How many chunks i in (b, n] of ell decode to outcome rank s."""
-    if not 0 <= b <= n:
-        raise DomainError(f"chunk bound {b} out of range [0, {n}]")
+    if not isinstance(b, int) or not 0 <= b <= n:
+        raise DomainError(f"chunk bound {b!r} out of range [0, {n}]")
     model._check_rank(s)
     svec = decode_weight_index(model, n, ell)
     return sum(1 for i in range(b, n) if svec[i] == s)
@@ -171,9 +173,9 @@ def beta_fast(table: ValueTable, t: int, xi: int) -> int:
 def beta_fast_trace(table: ValueTable, t: int, xi: int) -> BetaWalk:
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
-    steps: List[Tuple[int, int]] = []
+    steps: Dict[int, int] = {}
     total = _count_walk(table, t, xi=xi, steps=steps)[1]
-    return BetaWalk(t, xi, total, total - sum(c for _, c in steps), steps)
+    return BetaWalk(t, xi, total, total - sum(steps.values()), list(steps.items()))
 
 
 def _count_walk(
@@ -181,32 +183,33 @@ def _count_walk(
     t: int,
     xi: Optional[int] = None,
     s: int = 0,
-    steps: Optional[List[Tuple[int, int]]] = None,
+    steps: Optional[Dict[int, int]] = None,
 ) -> Tuple[int, int]:
     """The counting loop over the class-t compositions, chunk by chunk.
 
-    Rank (xi given): walk the chunks of xi and, at every 1-bit zeta of
-    xi, add to one running count the class-t levels that agree with xi
-    on bits 1..zeta-1 and have bit zeta = 0; a list passed as steps
-    also receives (zeta, that count) at every 1-bit, zeros included
-    once the class has run out.  Unrank (xi None): at every chunk take
-    the smallest chunk value whose cumulative count of class-t
-    completions reaches s, and take the counts of the values passed
-    over off s.
+    At every chunk one pass runs over the chunk values c below the next
+    chunk cx of the level and adds the class-t completions of each to
+    one running count.  Rank (xi given): cx is xi's chunk, so the count
+    ends as the class-t levels below xi; a dict passed as steps also
+    receives each c's count under the 1-bit zeta of cx where c first
+    differs from it, zeros included once the class has run out.  Unrank
+    (xi None): the pass stops at the first c whose completions bring the
+    count to s or more, and that c becomes cx.
 
-    Returns (level walked, count): for a rank walk the count is
-    beta(t, xi), the running count plus 1 if xi lies in class t.
+    Returns (level walked, count): the count is beta(t, level), the
+    running count plus 1 if the level lies in class t.
 
-    A rank walk without steps resumes from, and then replaces, the
-    class's checkpoint in table._cache: the walk's state on entering the
-    last chunk, or where no class-t composition extends the prefix any
-    more, taken by the last such walk of class t.  It holds the depth i,
-    the top i chunks of xi, the count so far, the live (k, q) pairs and
-    used, and a later xi with the same top i chunks starts from it.  On
+    An untraced walk replaces the class's checkpoint in table._cache,
+    and an untraced rank resumes from it first: the walk's state on
+    entering the last chunk, or where no class-t composition extends the
+    prefix any more.  It holds the depth i, the top i chunks of the
+    level, the count so far, the live (k, q) pairs and used, and a later
+    rank whose xi has the same top i chunks starts from it, so a rank of
+    the level an unrank just returned counts only its last chunk.  On
     entering the last chunk k - used is a unit vector, so at most m
     pairs are live: the checkpoints of a table hold O((T+1) m) pairs.
-    Unrank and traced walks neither read nor write it.  Every call,
-    resumed or not, makes the one bulk tau1 scan of the class.
+    Traced walks neither read nor write it.  Every call, resumed or not,
+    makes the one bulk tau1 scan of the class.
     """
     model = table.model
     n = table.n
@@ -215,9 +218,9 @@ def _count_walk(
     lut = model._index_of_chunk
     stats = table.stats
     members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
-    save = xi is not None and steps is None
+    save = steps is None
     key = ("rank", t)
-    record = table._cache.get(key) if save else None
+    record = table._cache.get(key) if save and xi is not None else None
     if record is not None and record[1] == xi >> ((n - record[0]) * mp1):
         start, ell, count, pairs, used = record
         used = list(used)
@@ -227,9 +230,9 @@ def _count_walk(
         # fixed so far, whose outcome counts are in used; q is the number
         # of ways to fill the r chunks left, the multinomial coefficient
         # of k - used.  Fixing the next chunk to outcome s1 + 1 multiplies
-        # that coefficient by (k[s1] - used[s1]) / r, so r times the
-        # completions with that next chunk is the exact sum of
-        # q * (k[s1] - used[s1]); every carried k has k >= used.
+        # that coefficient by (k[s1] - used[s1]) / r, so the completions
+        # with that next chunk are the exact sum of q * (k[s1] - used[s1])
+        # over r; every carried k has k >= used.
         start, ell, count = 0, 0, 0
         pairs = list(zip(members, table.coefs[t]))
         used = [0] * model.m
@@ -237,40 +240,23 @@ def _count_walk(
         r = n - i
         if save and (r == 1 or not pairs):
             table._cache[key] = (i, ell, count, pairs, tuple(used))
-        if not pairs:
+        if not pairs and steps is None:
             # rank walks only (an unrank walk never leaves class t): no
-            # class-t level extends this prefix, so every later count is 0
-            if steps is not None:
-                rest = xi & ((1 << (r * mp1)) - 1)
-                while rest:
-                    b = rest.bit_length()
-                    steps.append((n * mp1 - b + 1, 0))
-                    rest ^= 1 << (b - 1)
+            # class-t level extends this prefix, so the count is final
             return xi, count
-        if xi is not None:
-            cx = (xi >> ((r - 1) * mp1)) & mask
-            for j in range(mp1 - 1, -1, -1):
-                bit = 1 << j
-                if cx & bit:
-                    base = cx & -(bit << 1)  # cx with bit j and below cleared
-                    acc = 0
-                    for c in range(base, base + bit):
-                        s1 = lut[c] - 1
-                        u = used[s1]
-                        acc += sum([q * (k[s1] - u) for k, q in pairs])
-                    stats.bigint_ops += bit * len(pairs)
-                    count += acc // r
-                    if steps is not None:
-                        steps.append((i * mp1 + mp1 - j, acc // r))
-        else:
-            for cx in range(mask + 1):
-                s1 = lut[cx] - 1
-                u = used[s1]
-                acc = sum([q * (k[s1] - u) for k, q in pairs])
-                stats.bigint_ops += len(pairs)
-                if s * r <= acc:
-                    break
-                s -= acc // r
+        cx = (xi >> ((r - 1) * mp1)) & mask if xi is not None else mask + 1
+        for c in range(cx):
+            s1 = lut[c] - 1
+            u = used[s1]
+            acc = sum([q * (k[s1] - u) for k, q in pairs]) // r
+            stats.bigint_ops += len(pairs)
+            if xi is None and s <= count + acc:
+                cx = c
+                break
+            count += acc
+            if steps is not None:
+                zeta = i * mp1 + mp1 + 1 - (c ^ cx).bit_length()
+                steps[zeta] = steps.get(zeta, 0) + acc
         s1 = lut[cx] - 1
         u = used[s1]
         pairs = [(k, q * (k[s1] - u) // r) for k, q in pairs if k[s1] > u]

@@ -113,8 +113,11 @@ class BitString:
     __slots__ = ("bits",)
 
     def __init__(self, bits: Sequence[int]):
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
+        try:
+            bits = tuple(bits)
+        except TypeError:
+            raise DomainError(f"bits must be a sequence, got {bits!r}") from None
+        if any(not isinstance(b, int) or b not in (0, 1) for b in bits):
             raise DomainError("bits must be 0 or 1")
         self.bits = bits
 

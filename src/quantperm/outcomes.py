@@ -171,8 +171,8 @@ class OutcomeModel:
 
     def index_of_chunk(self, chunk: int) -> int:
         """Outcome rank whose pattern has integer value chunk (MSB first)."""
-        if not 0 <= chunk < self.m:
-            raise DomainError(f"chunk value {chunk} out of range [0, {self.m})")
+        if not isinstance(chunk, int) or not 0 <= chunk < self.m:
+            raise DomainError(f"chunk value {chunk!r} out of range [0, {self.m})")
         return self._index_of_chunk[chunk]
 
     def chunk_of_index(self, s: int) -> int:
@@ -186,8 +186,8 @@ class OutcomeModel:
         return ExactScalar(q, 0, self.d)
 
     def _check_rank(self, s: int):
-        if not 1 <= s <= self.m:
-            raise DomainError(f"outcome rank {s} out of range [1, {self.m}]")
+        if not isinstance(s, int) or not 1 <= s <= self.m:
+            raise DomainError(f"outcome rank {s!r} out of range [1, {self.m}]")
 
     def __repr__(self):
         kind = "haar" if self.haar is not None else "manual"

@@ -160,8 +160,8 @@ class AdmissiblePermutation:
     def entry(self, i: int, ell: int) -> int:
         """IR(i, ell): outcome rank of summand i at level ell (i is 1-based)."""
         r = self.row(ell)
-        if not 1 <= i <= self.n:
-            raise DomainError(f"summand index {i} out of range [1, {self.n}]")
+        if not isinstance(i, int) or not 1 <= i <= self.n:
+            raise DomainError(f"summand index {i!r} out of range [1, {self.n}]")
         return r[i - 1]
 
     def __call__(self, ell: int) -> int:

@@ -120,6 +120,18 @@ def test_partition_and_gamma_checks_read_the_fast_values(monkeypatch, bad_xi):
     assert ("alpha-beta-gamma" in failed) == (bad_xi == 7)
 
 
+def test_broken_f_is_reported_not_raised(monkeypatch):
+    # an identity F_n on A at n = 3 is not admissible: its three checks
+    # fail as rows, and every other check still runs
+    from quantperm import bench
+
+    monkeypatch.setattr(bench, "f_perm", lambda table, ell: ell)
+    checks = table_checks(build_value_table(builtin_model("A"), 3), seed=0)
+    failed = {c.name for c in checks if not c.passed}
+    assert failed == {"f-admissible", "f-inverse", "representation"}
+    assert checks[-1].name == "walk-mass"
+
+
 def test_check_counts_are_honest():
     table = build_value_table(builtin_model("A"), 3)
     checks = table_checks(table, seed=0)

@@ -6,6 +6,7 @@ tables and by sampling on larger ones; frozen spot values were worked
 out by hand from the class lists.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from quantperm import (
     AdmissiblePermutation,
+    BitString,
     DomainError,
     alpha,
     beta_bruteforce,
@@ -125,6 +127,30 @@ def test_tau2(model_b):
         tau2(model_b, 2, 5, 0, 0)
     with pytest.raises(DomainError):
         tau2(model_b, 2, 1, 0, 3)
+
+
+# every rank, chunk, bound and bit given as a non-int, with B at n = 2
+NON_INT_CALLS = {
+    "outcome-float": lambda model, perm: model.outcome(1.5),
+    "outcome-none": lambda model, perm: model.outcome(None),
+    "pattern_of": lambda model, perm: model.pattern_of(2.0),
+    "chunk_of_index": lambda model, perm: model.chunk_of_index(1.5),
+    "index_of_chunk-float": lambda model, perm: model.index_of_chunk(1.5),
+    "index_of_chunk-none": lambda model, perm: model.index_of_chunk(None),
+    "tau2-b": lambda model, perm: tau2(model, 2, 1, 0, 1.5),
+    "tau2-s": lambda model, perm: tau2(model, 2, 1.5, 0, 0),
+    "encode": lambda model, perm: encode_weight_index(model, [1.5, 1]),
+    "entry": lambda model, perm: perm.entry(1.5, 0),
+    "bits-float": lambda model, perm: BitString([1.0, 0, 1, 1, 0, 1]),
+    "bits-none": lambda model, perm: BitString(None),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_CALLS.values(), ids=NON_INT_CALLS.keys())
+def test_non_int_arguments_are_domain_errors(tables, call):
+    table = tables("B", 2)
+    with pytest.raises(DomainError):
+        call(table.model, canonical_permutation(table))
 
 
 def test_alpha_examples(tables):
@@ -424,26 +450,64 @@ def test_resumed_rank_equals_fresh_walk():
         assert resumed[1] >= 195 and resumed[2] > 50, (name, resumed)
 
 
-def test_unrank_and_trace_leave_the_checkpoint_alone():
+def test_unrank_leaves_the_rank_checkpoint_and_trace_leaves_it_alone():
     table = build_value_table(builtin_model("B"), 32)
     rng = random.Random(7)
+    costs = [0, 0]
     for _ in range(50):
-        xi = rng.randrange(table.num_indices)
-        t = iweight(table, xi)
-        beta_fast(table, t, xi)
-        # xi lies in class t, so the walk reached the last chunk, where at
-        # most m compositions are live
+        t = rng.randrange(table.T + 1)
+        s = 1 + rng.randrange(table.gammas[t])
+        ell = enum_b(table, t, s)
+        # the unrank leaves the state a fresh rank of its level leaves: on
+        # entering the last chunk, where at most m compositions are live
         record = _record(table, t)
         depth, _, _, pairs, _ = record
         assert depth == table.n - 1 and 1 <= len(pairs) <= table.model.m
-        # the trace walks from chunk 1 even where the checkpoint fits
-        before = table.stats.snapshot()
-        walk = beta_fast_trace(table, t, xi ^ 1)
-        traced = table.stats.delta(before).bigint_ops
-        enum_b(table, t, 1 + rng.randrange(table.gammas[t]))
-        f_perm(table, rng.randrange(table.num_indices))
-        assert _record(table, t) is record
         table._cache.pop(("rank", t))
         before = table.stats.snapshot()
-        assert beta_fast(table, t, xi ^ 1) == walk.total
-        assert table.stats.delta(before).bigint_ops == traced
+        assert beta_fast(table, t, ell) == s
+        fresh = table.stats.delta(before).bigint_ops
+        assert _record(table, t) == record
+        # so a rank of that level resumes at its last chunk, whose pass
+        # runs over the chunk values below ell's
+        enum_b(table, t, s)
+        before = table.stats.snapshot()
+        assert beta_fast(table, t, ell) == s
+        resumed = table.stats.delta(before).bigint_ops
+        assert resumed == (ell & (table.model.m - 1)) * len(pairs) <= fresh
+        costs[0] += resumed
+        costs[1] += fresh
+        # the trace walks from chunk 1 even where the checkpoint fits,
+        # and leaves the record as it was
+        record = _record(table, t)
+        before = table.stats.snapshot()
+        assert beta_fast_trace(table, t, ell).total == s
+        assert table.stats.delta(before).bigint_ops == fresh
+        assert _record(table, t) is record
+    assert costs[0] < costs[1], costs
+
+
+# sha256 over (model, n, t, argument, result, tau1 delta, bigint_ops
+# delta) of every call below, each from chunk 1; pinned before the rank,
+# unrank and trace walks became one pass per chunk
+FRESH_WALKS_DIGEST = "e4ff459552a527a21f0ffcec4678ebfa6788f0d487dc18e83983d3eccfdbda14"
+
+
+def test_fresh_walks_digest_pinned(tables):
+    digest = hashlib.sha256()
+    for name, n in (("A", 64), ("B", 32), ("C", 12), ("A", 9)):
+        table = tables(name, n)
+        rng = random.Random(n)
+        for j in range(100):
+            xi = rng.randrange(table.num_indices)
+            t = iweight(table, xi) if j % 2 else rng.randrange(table.T + 1)
+            s = 1 + rng.randrange(table.gammas[t])
+            for call, arg in ((beta_fast, xi), (beta_fast_trace, xi), (enum_b, s)):
+                table._cache.pop(("rank", t), None)
+                before = table.stats.snapshot()
+                got = call(table, t, arg)
+                cost = table.stats.delta(before)
+                digest.update(
+                    repr((name, n, t, arg, got, cost.tau1_queries, cost.bigint_ops)).encode()
+                )
+    assert digest.hexdigest() == FRESH_WALKS_DIGEST
