@@ -36,7 +36,6 @@ from .indexing import (
 from .multinomial import ValueTable, build_value_table
 from .outcomes import OutcomeModel, theta_squared
 from .permutations import admissibility_failure, f_perm, inv_f
-from .representation import representation_failure
 
 
 @dataclass
@@ -58,8 +57,10 @@ class BenchResult:
 
 def fit_loglog_slope(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of log y against log x."""
-    if len(points) < 2:
-        raise DomainError("slope fit needs at least two points")
+    if len({x for x, _ in points}) < 2:
+        raise DomainError("slope fit needs points at two or more distinct x")
+    if any(not (x > 0 and y > 0) for x, y in points):
+        raise DomainError(f"slope fit needs x > 0 and y > 0, got {list(points)!r}")
     xs = [math.log(x) for x, _ in points]
     ys = [math.log(y) for _, y in points]
     mx = sum(xs) / len(xs)
@@ -79,8 +80,8 @@ def bench_scaling(
     """Measure f_perm query growth over n_list; fit the log-log slope."""
     if not n_list or any(n < 1 for n in n_list):
         raise DomainError(f"n_list must be non-empty positive integers, got {n_list!r}")
-    if samples_per_n < 1:
-        raise DomainError("samples_per_n must be >= 1")
+    if not isinstance(samples_per_n, int) or samples_per_n < 1:
+        raise DomainError(f"samples_per_n must be an integer >= 1, got {samples_per_n!r}")
     rng = random.Random(seed)
     records: List[BenchRecord] = []
     means: List[Tuple[int, float]] = []
@@ -203,8 +204,9 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     )
     out.append(_result("f-inverse", n, table.num_indices, bad_inv == 0))
 
-    # representation invariants of the canonical permutation
-    reason = representation_failure(table, mapping)
+    # representation invariants of the canonical permutation: they hold
+    # iff the mapping is admissible (representation_failure is
+    # admissibility_failure), so the reason above decides them
     out.append(
         _result(
             "representation", n, table.num_indices,

@@ -8,13 +8,13 @@ Conventions, fixed once and used everywhere:
   position.  Bit position zeta lies in chunk i = ceil(zeta/(M+1)) at
   within-chunk offset p = zeta - (i-1)(M+1).
 * decode maps ell to the outcome ranks (s_1, ..., s_n) of its chunks;
-  increasing ell is exactly lexicographic order on decoded sequences.
-  A level also splits into a high half-row (its first n//2 chunks) and
-  a low one (_half_rows), and the explicit maps read levels that way:
-  _decoded_rows decodes a run of levels and _row_levels encodes rows.
-* iweight(ell) is the value class of the decoded sum (the weight-side
-  class), looked up by the sum of its chunks' lattice codes (see
-  multinomial); weight_classes adds a code per half-row instead.
+  increasing ell is exactly lexicographic order on decoded sequences,
+  and encode packs ranks back.  _decoded_rows decodes a run of levels
+  by two half-row lookups each (the first n//2 chunks, then the rest).
+* iweight(ell) is the value class of the level's outcome sum (the
+  weight-side class), looked up without decoding by the sum of its
+  chunks' lattice codes (table.chunk_codes, see multinomial);
+  weight_classes adds a code per half of the chunks instead.
   istep(ell) is the unique t with SMC(t) <= ell < SMC(t+1) (the
   step-side class).  is_n / is_star are the corresponding class values;
   is_star over ell = 0..m^n-1 is the sorted rearrangement of is_n.
@@ -53,7 +53,6 @@ always walk from chunk 1.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
@@ -86,6 +85,8 @@ def _check_level(table: ValueTable, ell: int, name: str = "level index"):
 
 def decode_weight_index(model: OutcomeModel, n: int, ell: int) -> Tuple[int, ...]:
     """Outcome ranks (s_1, ..., s_n) of the n chunks of ell; chunk 1 first."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
     mp1 = model.M + 1
     if not isinstance(ell, int) or not 0 <= ell < model.m**n:
         raise DomainError(f"level index {ell!r} out of range [0, {model.m ** n})")
@@ -96,20 +97,25 @@ def decode_weight_index(model: OutcomeModel, n: int, ell: int) -> Tuple[int, ...
 
 def encode_weight_index(model: OutcomeModel, svec: Sequence[int]) -> int:
     """Inverse of decode: pack outcome ranks back into a level index."""
+    try:
+        ranks = iter(svec)
+    except TypeError:
+        raise DomainError(f"outcome ranks must be a sequence, got {svec!r}") from None
     mp1 = model.M + 1
     ell = 0
-    for s in svec:
+    for s in ranks:
         ell = (ell << mp1) | model.chunk_of_index(s)
     return ell
 
 
 def iweight(table: ValueTable, ell: int) -> int:
-    """Value class of the decoded sum at ell (weight side): the class of
-    the sum of its chunks' lattice codes."""
+    """Value class of the outcome sum at ell (weight side): the class of
+    the sum of its chunks' lattice codes, with no decode."""
     _check_level(table, ell)
-    codes = table.codes
-    svec = decode_weight_index(table.model, table.n, ell)
-    return table._class_by_code[sum([codes[s - 1] for s in svec])]
+    mask = table.model.m - 1
+    codes = table.chunk_codes
+    shifts = range(0, table.width, table.model.M + 1)
+    return table._class_by_code[sum([codes[(ell >> k) & mask] for k in shifts])]
 
 
 def istep(table: ValueTable, ell: int) -> int:
@@ -305,88 +311,52 @@ def rib(table: ValueTable, t: int, ell: int) -> bool:
     return iweight(table, ell) == t
 
 
-# -- exhaustive per-table maps (cached; table-side, no oracle counting) ------
-
-
-def _half_rows(table: ValueTable):
-    """Every high (first n//2 ranks) and low half-row, and the low half's
-    bit width: row ell is hi[ell >> shift] + lo[ell & mask], because
-    product order is level order."""
-    lut = table.model._index_of_chunk
-    h = table.n // 2
-    shift = (table.n - h) * (table.model.M + 1)
-    return list(product(lut, repeat=h)), list(product(lut, repeat=table.n - h)), shift
+# -- exhaustive per-table maps (table-side, no oracle counting) --------------
 
 
 def _decoded_rows(table: ValueTable, levels: Iterable[int]) -> Iterator[Tuple[int, ...]]:
-    """decode(ell) for each ell of levels, as two half-row lookups."""
-    hi, lo, shift = _half_rows(table)
+    """decode(ell) for each ell of levels, as two half-row lookups: from
+    every high (first n//2 ranks) and low half-row, row ell is
+    hi[ell >> shift] + lo[ell & mask], because product order is level order."""
+    lut = table.model._index_of_chunk
+    h = table.n // 2
+    shift = (table.n - h) * (table.model.M + 1)
+    hi, lo = list(product(lut, repeat=h)), list(product(lut, repeat=table.n - h))
     mask = (1 << shift) - 1
     return (hi[ell >> shift] + lo[ell & mask] for ell in levels)
-
-
-def _row_levels(table: ValueTable, rows: Iterable[Sequence[int]]) -> array:
-    """The level each row decodes from, by one dict lookup per half-row.
-
-    DomainError on a malformed row: a row of the wrong length or with a
-    non-rank entry misses a dict.
-    """
-    hi, lo, shift = _half_rows(table)
-    h = len(hi[0])  # ranks in a high half-row
-    hi, lo = ({ranks: code for code, ranks in enumerate(half)} for half in (hi, lo))
-    levels = array("I")
-    for ell, row in enumerate(rows):
-        try:
-            ranks = tuple(row)
-            levels.append(hi[ranks[:h]] << shift | lo[ranks[h:]])
-        except (KeyError, TypeError):  # TypeError: not iterable, or unhashable
-            raise DomainError(
-                f"row {ell} is {row!r}, not {table.n} outcome ranks in [1, {table.model.m}]"
-            ) from None
-    return levels
 
 
 def weight_classes(table: ValueTable) -> List[int]:
     """iweight of every level index, materialized once per table.
 
     A level's lattice code is the sum of its chunks' codes, and a level
-    is a high half-row followed by a low one, so in level order its codes
-    are each high half's code plus each low half's code; each half list
-    holds only about m^(n/2) codes.
+    is its first n//2 chunks followed by the rest, so in level order its
+    codes are each high half's code plus each low half's code; each half
+    list holds only about m^(n/2) codes, summed from chunk_codes.
     """
     _require_explicit(table.width, "explicit level tables")
     cached = table._cache.get("weight_classes")
     if cached is not None:
         return cached
-    codes = table.codes
-    hi, lo, _ = _half_rows(table)
-    hi, lo = ([sum([codes[s - 1] for s in row]) for row in half] for half in (hi, lo))
+    codes, h = table.chunk_codes, table.n // 2
+    hi, lo = ([sum(half) for half in product(codes, repeat=r)] for r in (h, table.n - h))
     cls = table._class_by_code
-    out = [cls[h + l] for h in hi for l in lo]
+    out = [cls[a + b] for a in hi for b in lo]
     table._cache["weight_classes"] = out
     return out
 
 
 def step_classes(table: ValueTable) -> List[int]:
-    """istep of every level index: class t repeated gamma_t times."""
+    """istep of every level index: class t repeated gamma_t times,
+    computed on each call."""
     _require_explicit(table.width, "explicit level tables")
-    cached = table._cache.get("step_classes")
-    if cached is not None:
-        return cached
     out = []
     for t, g in enumerate(table.gammas):
         out.extend([t] * g)
-    table._cache["step_classes"] = out
     return out
 
 
 def decoded_vectors(table: ValueTable) -> List[Tuple[int, ...]]:
-    """decode of every level index, materialized once per table."""
+    """decode of every level index, in level order, computed on each call."""
     _require_explicit(table.width, "explicit level tables")
-    cached = table._cache.get("decoded_vectors")
-    if cached is not None:
-        return cached
-    # product order is level order: the first chunk varies slowest
-    out = list(product(table.model._index_of_chunk, repeat=table.n))
-    table._cache["decoded_vectors"] = out
-    return out
+    return list(_decoded_rows(table, range(table.num_indices)))

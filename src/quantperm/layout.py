@@ -45,6 +45,10 @@ class LayoutModel:
         if not isinstance(value, int) or value < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
+    def _check_offset(self, value: int, top: int, name: str):
+        if not isinstance(value, int) or not 1 <= value <= top:
+            raise DomainError(f"{name} {value!r} out of range [1, {top}]")
+
     def row_block(self, rho: int) -> Tuple[int, int]:
         """(b, r): row rho is the r-th row of block b."""
         self._check_pos(rho, "row index")
@@ -65,10 +69,8 @@ class LayoutModel:
     def entry(self, b: int, r: int, i: int) -> int:
         """eta_{b,r,i}: position of entry i in row r of block b."""
         self._check_pos(b, "block index")
-        if not 1 <= r <= self.M + 1:
-            raise DomainError(f"row offset {r} out of range [1, {self.M + 1}]")
-        if not 1 <= i <= b:
-            raise DomainError(f"entry offset {i} out of range [1, {b}]")
+        self._check_offset(r, self.M + 1, "row offset")
+        self._check_offset(i, b, "entry offset")
         return comb(b, 2) * (self.M + 1) + (r - 1) * b + i
 
     def decompose(self, eta: int) -> Tuple[int, int, int]:
@@ -89,8 +91,7 @@ class LayoutModel:
     def jbar(self, i: int, r: int) -> int:
         """Column-i coordinate contributed by the r-th row of block i."""
         self._check_pos(i, "column index")
-        if not 1 <= r <= self.M + 1:
-            raise DomainError(f"row offset {r} out of range [1, {self.M + 1}]")
+        self._check_offset(r, self.M + 1, "row offset")
         return (self.M + 1) * comb(i, 2) + r * i
 
     def jbar_set(self, i: int) -> Tuple[int, ...]:
@@ -154,6 +155,8 @@ def eval_partial_sum(
         raise DomainError(
             f"layout depth M={layout.M} does not match model M={model.M}"
         )
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     total = model.zero()
     for i in range(1, n + 1):
         pattern = tuple(x.bit(j) for j in layout.jbar_set(i))

@@ -20,9 +20,10 @@ wider than MAX_WIDTH bits or of more than MAX_COMPOSITIONS compositions
 is refused before enumeration.
 
 That int is also the class's lookup key: the table keeps each outcome's
-lattice code (codes) and a dict from class code to t, so a composition's
-class is the class of sum_s k_s codes[s], and a level's class is the
-class of the sum of its chunks' codes.
+lattice code (codes), the same codes indexed by chunk value
+(chunk_codes) and a dict from class code to t, so a composition's class
+is the class of sum_s k_s codes[s], and a level's class is the class of
+the sum of its chunks' codes, read off the level without decoding it.
 
 tau1 is the class-membership oracle: tau1(k, t) = 1 iff composition k
 lies in class t.  Algorithms downstream are measured by how many tau1
@@ -64,6 +65,8 @@ MAX_WIDTH = 1024
 def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
     """n! / (k_1! ... k_m!) for a composition k of n."""
     key = tuple(k)
+    if not isinstance(n, int):
+        raise DomainError(f"sum length n must be an integer, got {n!r}")
     if any(not isinstance(x, int) or x < 0 for x in key):
         raise DomainError(f"composition entries must be integers >= 0, got {key!r}")
     if sum(key) != n:
@@ -73,8 +76,7 @@ def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
 
 def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
     """All compositions of n into m parts, lexicographically increasing."""
-    if m <= 0 or n < 0:
-        raise DomainError(f"need m >= 1 parts and n >= 0, got m={m}, n={n}")
+    _check_parts(n, m)
     if m == 1:
         yield (n,)
         return
@@ -85,7 +87,13 @@ def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
 
 def composition_count(n: int, m: int) -> int:
     """|K_n| = C(n+m-1, m-1)."""
+    _check_parts(n, m)
     return comb(n + m - 1, m - 1)
+
+
+def _check_parts(n: int, m: int):
+    if not (isinstance(n, int) and isinstance(m, int)) or m < 1 or n < 0:
+        raise DomainError(f"need m >= 1 parts and n >= 0, got m={m!r}, n={n!r}")
 
 
 @dataclass
@@ -117,8 +125,9 @@ class ValueTable:
     coefficients, aligned with members[t]), gammas[t], smc[0..T+1],
     with T = len(values) - 1.  width = n*(M+1) and
     num_indices = 2^width = m^n.  codes[s - 1] is outcome s's lattice
-    code and _class_by_code maps each class's code, sum_s k_s codes[s - 1]
-    for any member k, to t.
+    code, chunk_codes[c] is the code of the outcome whose pattern has
+    chunk value c, and _class_by_code maps each class's code,
+    sum_s k_s codes[s - 1] for any member k, to t.
     """
 
     def __init__(
@@ -139,6 +148,7 @@ class ValueTable:
             smc.append(smc[-1] + g)
         self.smc = tuple(smc)
         self.codes = tuple(codes)
+        self.chunk_codes = tuple(self.codes[s - 1] for s in model._index_of_chunk)
         self._class_by_code = {c: t for t, c in enumerate(class_codes)}
         self.stats = OracleStats()
         self._cache: dict = {}

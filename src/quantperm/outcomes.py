@@ -182,9 +182,6 @@ class OutcomeModel:
     def zero(self) -> ExactScalar:
         return ExactScalar(0, 0, self.d)
 
-    def scalar(self, q) -> ExactScalar:
-        return ExactScalar(q, 0, self.d)
-
     def _check_rank(self, s: int):
         if not isinstance(s, int) or not 1 <= s <= self.m:
             raise DomainError(f"outcome rank {s!r} out of range [1, {self.m}]")

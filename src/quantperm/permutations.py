@@ -27,8 +27,8 @@ AdmissiblePermutation is the one explicit level mapping of the package:
 a read-only array('I') view of pi(0), pi(1), ....  It is also the strong
 trim representation of pi (see representation): row ell of the array is
 decode(pi(ell)), decoded when read, and rows given by a caller enter
-through from_rows, which encodes each row once.  Explicit tables are
-only materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
+through from_rows, which encodes each row once with encode_weight_index.
+Explicit tables are only materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
 
 The characterizing relation: ell' = F_n(ell) is the unique solution of
 
@@ -48,10 +48,10 @@ from .indexing import (
     _check_level,
     _decoded_rows,
     _require_explicit,
-    _row_levels,
     alpha,
     beta_fast,
     decode_weight_index,
+    encode_weight_index,
     enum_b,
     istep,
     iweight,
@@ -141,10 +141,24 @@ class AdmissiblePermutation:
 
     @classmethod
     def from_rows(cls, table: ValueTable, rows: Iterable[Sequence[int]]):
-        """The mapping whose rows are rows, each encoded once; DomainError
-        on a malformed row.  Admissibility is not checked here."""
+        """The mapping whose rows are rows, each encoded once by
+        encode_weight_index; DomainError on a malformed row (not n
+        outcome ranks).  Admissibility is not checked here."""
         _require_explicit(table.width)
-        return cls(table, _row_levels(table, rows))
+        model, n = table.model, table.n
+        levels = array("I")
+        for ell, row in enumerate(rows):
+            try:
+                ranks = tuple(row)  # TypeError: row is not iterable
+                level = encode_weight_index(model, ranks)
+            except (TypeError, DomainError):
+                ranks = ()  # refused below, as n >= 1
+            if len(ranks) != n:
+                raise DomainError(
+                    f"row {ell} is {row!r}, not {n} outcome ranks in [1, {model.m}]"
+                )
+            levels.append(level)
+        return cls(table, levels)
 
     @property
     def block_perms(self) -> Tuple[Tuple[int, ...], ...]:

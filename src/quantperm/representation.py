@@ -111,8 +111,11 @@ def clt_table(table: ValueTable, grid_size: Optional[int] = None) -> CltResult:
 
     At each class t the empirical cdf jumps from SMC(t)/m^n to
     SMC(t+1)/m^n; the sup distance takes the larger deviation of the
-    two, which is the Kolmogorov distance of the step function.
+    two, which is the Kolmogorov distance of the step function.  A
+    grid_size, an int >= 1, subsamples the rows to at most that many.
     """
+    if grid_size is not None and (not isinstance(grid_size, int) or grid_size < 1):
+        raise DomainError(f"grid size must be an integer >= 1, got {grid_size!r}")
     var = float(table.model.variance)
     if var <= 0.0:
         raise DomainError("clt comparison needs a model with positive variance")
@@ -129,7 +132,7 @@ def clt_table(table: ValueTable, grid_size: Optional[int] = None) -> CltResult:
         ref = normal_cdf(z)
         sup = max(sup, abs(lo - ref), abs(hi - ref))
         rows.append(CltRow(z, hi, ref))
-    if grid_size is not None and 0 < grid_size < len(rows):
+    if grid_size is not None and grid_size < len(rows):
         step = len(rows) / grid_size
         rows = [rows[min(len(rows) - 1, int(i * step))] for i in range(grid_size)]
     return CltResult(table.n, theta, rows, sup)

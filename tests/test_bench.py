@@ -27,6 +27,15 @@ def test_fit_loglog_slope():
         fit_loglog_slope([(4, 16)])
 
 
+def test_degenerate_fits_and_sizes_are_domain_errors():
+    # equal x divided by zero; a point at or below 0 hit log's domain
+    for points in ([(4, 16), (4, 20)], [(0, 1), (4, 16)], [(4, 16), (8, -1)]):
+        with pytest.raises(DomainError, match="slope fit"):
+            fit_loglog_slope(points)
+    with pytest.raises(DomainError, match="samples_per_n"):
+        bench_scaling(builtin_model("A"), "A", [4, 8], samples_per_n=1.5)
+
+
 def test_bench_smoke_and_determinism():
     model = builtin_model("A")
     r1 = bench_scaling(model, "A", [4, 8], samples_per_n=2, seed=3)

@@ -466,6 +466,21 @@ def test_clt_output(capsys):
     assert code == 0 and len(out.splitlines()) == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--model", "builtin:A", "--n-list", "4,4", "--no-timing"),
+        ("clt", "--model", "builtin:A", "--n", "4", "--grid", "-2"),
+        ("clt", "--model", "builtin:A", "--n", "4", "--grid", "0"),
+    ],
+    ids=["bench-equal-n", "clt-grid-negative", "clt-grid-zero"],
+)
+def test_degenerate_sizes_exit_with_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bench_no_timing_is_reproducible(capsys):
     argv = (
         "bench", "--model", "builtin:A", "--n-list", "2,4",

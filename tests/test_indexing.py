@@ -17,6 +17,7 @@ from quantperm import (
     AdmissiblePermutation,
     BitString,
     DomainError,
+    LayoutModel,
     alpha,
     beta_bruteforce,
     beta_fast,
@@ -27,12 +28,15 @@ from quantperm import (
     encode_weight_index,
     enum_a,
     enum_b,
+    enumerate_compositions,
+    eval_partial_sum,
     f_perm,
     inv_f,
     is_n,
     is_star,
     istep,
     iweight,
+    multinomial_coefficient,
     ria,
     rib,
     tau2,
@@ -129,7 +133,8 @@ def test_tau2(model_b):
         tau2(model_b, 2, 1, 0, 3)
 
 
-# every rank, chunk, bound and bit given as a non-int, with B at n = 2
+# every rank, chunk, bound, bit, size and layout offset given as a
+# non-int, with B at n = 2
 NON_INT_CALLS = {
     "outcome-float": lambda model, perm: model.outcome(1.5),
     "outcome-none": lambda model, perm: model.outcome(None),
@@ -143,6 +148,19 @@ NON_INT_CALLS = {
     "entry": lambda model, perm: perm.entry(1.5, 0),
     "bits-float": lambda model, perm: BitString([1.0, 0, 1, 1, 0, 1]),
     "bits-none": lambda model, perm: BitString(None),
+    "decode-n": lambda model, perm: decode_weight_index(model, 1.5, 0),
+    "tau2-n": lambda model, perm: tau2(model, 2.0, 1, 0, 0),
+    "encode-none": lambda model, perm: encode_weight_index(model, None),
+    "encode-int": lambda model, perm: encode_weight_index(model, 5),
+    "eval_partial_sum-n": lambda model, perm: eval_partial_sum(
+        model, LayoutModel(1), BitString([1, 0, 0, 1, 0, 1]), 2.0
+    ),
+    "enumerate_compositions": lambda model, perm: list(enumerate_compositions(1.5, 2)),
+    "composition_count": lambda model, perm: composition_count(2.5, 2),
+    "multinomial_coefficient": lambda model, perm: multinomial_coefficient(2.0, (1, 1)),
+    "layout-entry-r": lambda model, perm: LayoutModel(1).entry(2, 1.5, 1),
+    "layout-entry-i": lambda model, perm: LayoutModel(1).entry(2, 1, 1.0),
+    "layout-jbar-r": lambda model, perm: LayoutModel(1).jbar(2, 1.5),
 }
 
 

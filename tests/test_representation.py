@@ -196,6 +196,14 @@ def test_clt_grid_subsample(tables):
     assert result.sup_distance == full.sup_distance
 
 
+def test_clt_grid_must_be_a_positive_int(tables):
+    table = tables("A", 4)
+    for grid in (0, -3, 1.5):
+        with pytest.raises(DomainError, match="grid size"):
+            clt_table(table, grid_size=grid)
+    assert len(clt_table(table, grid_size=1).rows) == 1
+
+
 def test_clt_centering_for_shifted_model():
     model = build_manual(
         0, [((1,), ExactScalar(0)), ((0,), ExactScalar(2))], strict=False
