@@ -23,7 +23,7 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError
 from .indexing import (
@@ -78,7 +78,7 @@ def bench_scaling(
     seed: int = 0,
 ) -> BenchResult:
     """Measure f_perm query growth over n_list; fit the log-log slope."""
-    if not n_list or any(n < 1 for n in n_list):
+    if not n_list or any(not isinstance(n, int) or n < 1 for n in n_list):
         raise DomainError(f"n_list must be non-empty positive integers, got {n_list!r}")
     if not isinstance(samples_per_n, int) or samples_per_n < 1:
         raise DomainError(f"samples_per_n must be an integer >= 1, got {samples_per_n!r}")

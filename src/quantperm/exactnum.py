@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, sqrt
+from math import sqrt
 from typing import Union
 
 from .errors import DomainError

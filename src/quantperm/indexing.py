@@ -9,12 +9,12 @@ Conventions, fixed once and used everywhere:
   within-chunk offset p = zeta - (i-1)(M+1).
 * decode maps ell to the outcome ranks (s_1, ..., s_n) of its chunks;
   increasing ell is exactly lexicographic order on decoded sequences,
-  and encode packs ranks back.  _decoded_rows decodes a run of levels
-  by two half-row lookups each (the first n//2 chunks, then the rest).
+  and encode packs ranks back.  _halves splits a level into its first
+  n//2 chunks and the rest: _decoded_rows joins the halves' ranks, and
+  weight_classes, F_n and the admissibility check add their codes.
 * iweight(ell) is the value class of the level's outcome sum (the
   weight-side class), looked up without decoding by the sum of its
-  chunks' lattice codes (table.chunk_codes, see multinomial);
-  weight_classes adds a code per half of the chunks instead.
+  chunks' lattice codes (table.chunk_codes, see multinomial).
   istep(ell) is the unique t with SMC(t) <= ell < SMC(t+1) (the
   step-side class).  is_n / is_star are the corresponding class values;
   is_star over ell = 0..m^n-1 is the sorted rearrangement of is_n.
@@ -136,10 +136,10 @@ def is_star(table: ValueTable, ell: int) -> ExactScalar:
 
 def tau2(model: OutcomeModel, n: int, s: int, ell: int, b: int) -> int:
     """How many chunks i in (b, n] of ell decode to outcome rank s."""
+    svec = decode_weight_index(model, n, ell)  # checks n before b is compared with it
     if not isinstance(b, int) or not 0 <= b <= n:
         raise DomainError(f"chunk bound {b!r} out of range [0, {n}]")
     model._check_rank(s)
-    svec = decode_weight_index(model, n, ell)
     return sum(1 for i in range(b, n) if svec[i] == s)
 
 
@@ -314,36 +314,30 @@ def rib(table: ValueTable, t: int, ell: int) -> bool:
 # -- exhaustive per-table maps (table-side, no oracle counting) --------------
 
 
-def _decoded_rows(table: ValueTable, levels: Iterable[int]) -> Iterator[Tuple[int, ...]]:
-    """decode(ell) for each ell of levels, as two half-row lookups: from
-    every high (first n//2 ranks) and low half-row, row ell is
-    hi[ell >> shift] + lo[ell & mask], because product order is level order."""
-    lut = table.model._index_of_chunk
+def _halves(table: ValueTable, per_chunk: Sequence, join) -> Tuple[list, list, int]:
+    """(hi, lo, shift): level ell is high half ell >> shift (its first n//2
+    chunks) then low half ell & (2^shift - 1); hi and lo join per_chunk
+    over every half's chunks, in level order (product order)."""
     h = table.n // 2
     shift = (table.n - h) * (table.model.M + 1)
-    hi, lo = list(product(lut, repeat=h)), list(product(lut, repeat=table.n - h))
+    hi, lo = ([join(half) for half in product(per_chunk, repeat=r)] for r in (h, table.n - h))
+    return hi, lo, shift
+
+
+def _decoded_rows(table: ValueTable, levels: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+    """decode(ell) for each ell of levels: its high then low half's ranks."""
+    hi, lo, shift = _halves(table, table.model._index_of_chunk, tuple)
     mask = (1 << shift) - 1
     return (hi[ell >> shift] + lo[ell & mask] for ell in levels)
 
 
 def weight_classes(table: ValueTable) -> List[int]:
-    """iweight of every level index, materialized once per table.
-
-    A level's lattice code is the sum of its chunks' codes, and a level
-    is its first n//2 chunks followed by the rest, so in level order its
-    codes are each high half's code plus each low half's code; each half
-    list holds only about m^(n/2) codes, summed from chunk_codes.
-    """
+    """iweight of every level index, computed on each call from the codes
+    of its halves."""
     _require_explicit(table.width, "explicit level tables")
-    cached = table._cache.get("weight_classes")
-    if cached is not None:
-        return cached
-    codes, h = table.chunk_codes, table.n // 2
-    hi, lo = ([sum(half) for half in product(codes, repeat=r)] for r in (h, table.n - h))
+    hi, lo, _ = _halves(table, table.chunk_codes, sum)
     cls = table._class_by_code
-    out = [cls[a + b] for a in hi for b in lo]
-    table._cache["weight_classes"] = out
-    return out
+    return [cls[a + b] for a in hi for b in lo]
 
 
 def step_classes(table: ValueTable) -> List[int]:

@@ -17,11 +17,11 @@ to tau1 at any width.
 
 Explicitly, F_n lists IB_{n,0}, IB_{n,1}, ... in level order, so that
 IB_{n,t} fills the step block [SMC(t), SMC(t+1)); it is built once per
-table by a counting sort over weight_classes.  Every other admissible
-permutation is that array with each class's slice reordered:
-make_admissible reads pi(SMC(t) + s - 1) = F_n(SMC(t) + phi_t(s) - 1),
-blocks_of recovers phi_t through F_n^{-1}, and random_admissible
-shuffles each slice of F_n.
+table, class by class, from the lattice codes of the halves of each
+level.  Every other admissible permutation is that array with each
+class's slice reordered: make_admissible reads
+pi(SMC(t) + s - 1) = F_n(SMC(t) + phi_t(s) - 1), blocks_of recovers
+phi_t through F_n^{-1}, and random_admissible shuffles each slice of F_n.
 
 AdmissiblePermutation is the one explicit level mapping of the package:
 a read-only array('I') view of pi(0), pi(1), ....  It is also the strong
@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import count
+from collections import defaultdict
 from math import factorial, prod
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .indexing import (
     _check_level,
     _decoded_rows,
+    _halves,
     _require_explicit,
     alpha,
     beta_fast,
@@ -55,7 +56,6 @@ from .indexing import (
     enum_b,
     istep,
     iweight,
-    weight_classes,
 )
 from .multinomial import ValueTable
 
@@ -87,34 +87,41 @@ def gamma_relation(table: ValueTable, ell: int, ellp: int) -> bool:
     return beta_fast(table, t, ellp) * chi == alpha(table, t, ell)
 
 
-def _canonical_inverse(table: ValueTable) -> Iterator[int]:
-    """F_n^{-1}(ell) for ell = 0, 1, ... in level order (explicit width).
-
-    The counting pass over weight_classes: F_n^{-1}(ell) is SMC(t) plus
-    the number of class-t levels before ell, t = iweight(ell), so one
-    running count per class, started at SMC(t), streams the inverse
-    without a list.
-    """
-    slots = [count(start) for start in table.smc[:-1]]
-    return map(next, map(slots.__getitem__, weight_classes(table)))
-
-
 def _canonical_mapping(table: ValueTable) -> memoryview:
     """F_n's explicit mapping as a read-only array('I') view, cached once
     per table (explicit-width only) and shared by every caller.
 
-    A counting sort of the levels by weight class: it places each ell at
-    F_n^{-1}(ell), so IB_{n,t} fills [SMC(t), SMC(t+1)) in level order.
+    IB_{n,0}, IB_{n,1}, ... in level order: class t is each high half a
+    that reaches it, in order, joined to every low half b whose code
+    completes class t's code.
     """
     _require_explicit(table.width)
     cached = table._cache.get("canonical_mapping")
     if cached is not None:
         return cached
-    mapping = array("I", [0]) * table.num_indices
-    for ell, slot in enumerate(_canonical_inverse(table)):
-        mapping[slot] = ell
+    hi, lo, shift = _halves(table, table.chunk_codes, sum)
+    lows = defaultdict(list)  # low halves by code, in level order
+    for b, code in enumerate(lo):
+        lows[code].append(b)
+    cls = table._class_by_code  # class codes in t order
+    reach = [[] for _ in cls]  # the high halves that reach each class, in order
+    for a, high in enumerate(hi):
+        for low in lows:
+            reach[cls[high + low]].append(a)
+    mapping = array("I")
+    for code, heads in zip(cls, reach):
+        for a in heads:
+            mapping.extend(map((a << shift).__or__, lows[code - hi[a]]))
     cached = table._cache["canonical_mapping"] = memoryview(mapping).toreadonly()
     return cached
+
+
+def _canonical_inverse(table: ValueTable) -> array:
+    """F_n^{-1} as an array('I'), scattered from F_n: inv[F_n(ell)] = ell."""
+    inv = array("I", [0]) * table.num_indices
+    for ell, ellp in enumerate(_canonical_mapping(table)):
+        inv[ellp] = ell
+    return inv
 
 
 class AdmissiblePermutation:
@@ -241,7 +248,7 @@ def blocks_of(table: ValueTable, mapping: Sequence[int]) -> List[Tuple[int, ...]
     reason = admissibility_failure(table, mapping)
     if reason is not None:
         raise DomainError(f"mapping is not admissible: {reason}")
-    inv = array("I", _canonical_inverse(table))
+    inv = _canonical_inverse(table)
     smc = table.smc
     return [
         tuple(inv[ellp] - smc[t] + 1 for ellp in mapping[smc[t]:smc[t + 1]])
@@ -252,36 +259,32 @@ def blocks_of(table: ValueTable, mapping: Sequence[int]) -> List[Tuple[int, ...]
 PermLike = Union[AdmissiblePermutation, Sequence[int]]
 
 
-def _as_mapping(perm: PermLike) -> Sequence[int]:
-    if isinstance(perm, AdmissiblePermutation):
-        return perm.mapping
-    return perm
-
-
 def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
-    """None if admissible, else a one-line reason."""
-    mapping = _as_mapping(perm)
+    """None if admissible, else a one-line reason, from one pass in level
+    order that reports the first class mismatch only if no range or
+    bijection fault follows it."""
+    mapping = perm.mapping if isinstance(perm, AdmissiblePermutation) else perm
     num = table.num_indices
     if len(mapping) != num:
         return f"mapping has {len(mapping)} entries, expected {num}"
-    seen = bytearray(num)
-    for ell, ellp in enumerate(mapping):
-        if not isinstance(ellp, int) or not 0 <= ellp < num:
-            return f"pi({ell}) = {ellp!r} is out of range [0, {num})"
-        if seen[ellp]:
-            return f"not a bijection: {ellp} hit twice (second time at ell={ell})"
-        seen[ellp] = 1
-    wc = weight_classes(table)
+    hi, lo, shift = _halves(table, table.chunk_codes, sum)
+    mask = (1 << shift) - 1
     smc = table.smc
-    for t in range(table.T + 1):
-        lo, hi = smc[t], smc[t + 1]
-        for ell, c in enumerate(map(wc.__getitem__, mapping[lo:hi]), lo):
-            if c != t:
-                return (
+    seen = bytearray(num)
+    mismatch = None
+    for t, code in enumerate(table._class_by_code):
+        for ell, ellp in enumerate(mapping[smc[t]:smc[t + 1]], smc[t]):
+            if not isinstance(ellp, int) or not 0 <= ellp < num:
+                return f"pi({ell}) = {ellp!r} is out of range [0, {num})"
+            if seen[ellp]:
+                return f"not a bijection: {ellp} hit twice (second time at ell={ell})"
+            seen[ellp] = 1
+            if hi[ellp >> shift] + lo[ellp & mask] != code and mismatch is None:
+                mismatch = (
                     f"class mismatch at ell={ell}: row sum of pi(ell) is in "
-                    f"class {c}, expected istep={t}"
+                    f"class {iweight(table, ellp)}, expected istep={t}"
                 )
-    return None
+    return mismatch
 
 
 def verify_admissible(table: ValueTable, perm: PermLike) -> bool:

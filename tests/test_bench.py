@@ -34,6 +34,9 @@ def test_degenerate_fits_and_sizes_are_domain_errors():
             fit_loglog_slope(points)
     with pytest.raises(DomainError, match="samples_per_n"):
         bench_scaling(builtin_model("A"), "A", [4, 8], samples_per_n=1.5)
+    for sizes in (["4"], [4, None]):
+        with pytest.raises(DomainError, match="n_list"):
+            bench_scaling(builtin_model("A"), "A", sizes)
 
 
 def test_bench_smoke_and_determinism():

@@ -1,10 +1,12 @@
-"""Every function, method and class of the package has a reader.
+"""Every function, method, class and import of the package has a reader.
 
 A definition in src/quantperm counts as used when its name appears
 anywhere in src/, tests/ or perfbench/ as a name, an attribute, an
 imported name, or a whole string constant (perfbench's tracer names
 the functions it wraps in strings).  Dunder methods are called by the
-interpreter and are exempt.
+interpreter and are exempt.  A name a module imports counts as used
+when that module reads it as a name; the package's __init__.py is
+exempt, as its imports are re-exports.
 """
 
 from __future__ import annotations
@@ -56,3 +58,20 @@ def test_every_definition_is_referenced():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     ]
     assert dead == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for path, tree in _trees("src/quantperm"):
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []

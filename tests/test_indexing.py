@@ -150,6 +150,8 @@ NON_INT_CALLS = {
     "bits-none": lambda model, perm: BitString(None),
     "decode-n": lambda model, perm: decode_weight_index(model, 1.5, 0),
     "tau2-n": lambda model, perm: tau2(model, 2.0, 1, 0, 0),
+    "tau2-n-none": lambda model, perm: tau2(model, None, 1, 0, 0),
+    "tau2-n-str": lambda model, perm: tau2(model, "2", 1, 0, 0),
     "encode-none": lambda model, perm: encode_weight_index(model, None),
     "encode-int": lambda model, perm: encode_weight_index(model, 5),
     "eval_partial_sum-n": lambda model, perm: eval_partial_sum(

@@ -10,6 +10,7 @@ import hashlib
 import math
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from quantperm import (
     inv_f,
     istep,
     iweight,
+    load_model,
     make_admissible,
     random_admissible,
     verify_admissible,
@@ -45,9 +47,16 @@ def test_f_frozen_tables(tables):
     assert [f_perm(tb, ell) for ell in range(16)] == F2_B
 
 
+HAAR_M2 = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "haar_m2.json"
+
+
 def test_f_lazy_matches_explicit(tables):
-    for name, n in (("A", 4), ("B", 2), ("C", 2)):
-        table = tables(name, n)
+    # A n = 1 has an empty high half, odd n splits the chunks unevenly,
+    # and haar_m2 has M = 2
+    inputs = [tables(name, n) for name, n in (("A", 1), ("A", 4), ("A", 5), ("B", 2),
+                                              ("B", 3), ("C", 2), ("C", 3))]
+    inputs.append(build_value_table(load_model(str(HAAR_M2)), 2))
+    for table in inputs:
         perm = canonical_permutation(table)
         assert [f_perm(table, ell) for ell in range(table.num_indices)] == list(
             perm.mapping
@@ -159,6 +168,23 @@ def test_verify_rejects_bad_permutations(tables):
     assert "out of range" in admissibility_failure(table, [99] * 16)
 
 
+def test_range_and_bijection_faults_outrank_an_earlier_class_mismatch(tables):
+    # one pass over the levels: the first class mismatch is reported only
+    # when no image anywhere is out of range or repeated
+    table = tables("B", 2)
+    swapped = list(F2_B)
+    swapped[0], swapped[1] = swapped[1], swapped[0]  # class mismatch at ell = 0
+    assert admissibility_failure(table, swapped) == (
+        "class mismatch at ell=0: row sum of pi(ell) is in class 1, expected istep=0"
+    )
+    repeated = swapped[:15] + [swapped[14]]
+    assert admissibility_failure(table, repeated) == (
+        "not a bijection: 4 hit twice (second time at ell=15)"
+    )
+    beyond = swapped[:15] + [16]
+    assert admissibility_failure(table, beyond) == "pi(15) = 16 is out of range [0, 16)"
+
+
 def test_count_examples(tables):
     assert count_admissible(tables("A", 2)) == 2
     assert count_admissible(tables("B", 2)) == 3456
@@ -209,8 +235,10 @@ def test_explicit_layer_keeps_only_the_mapping(model_b):
     rand = random_admissible(table, 3)
     back = perm_from_representation(table, representation_from_perm(table, rand))
     assert back == rand
-    for key in ("weight_class_lists", "step_classes"):
+    for key in ("weight_class_lists", "step_classes", "weight_classes"):
         assert key not in table._cache
+    checkpoints = {key for key in table._cache if isinstance(key, tuple) and key[0] == "rank"}
+    assert set(table._cache) - checkpoints == {"canonical_mapping"}
     for perm in (canon, rand, back):
         assert "block_perms" not in vars(perm)
 

@@ -93,9 +93,10 @@ def test_haar_m2_width_63_table_and_lazy_f():
 
 def test_explicit_chain_at_width_22_in_bounded_memory():
     # F_n, its representation and the representation check on A n = 22
-    # (4.2M levels) keep one 4-byte-per-level mapping and the weight classes
+    # (4.2M levels) keep one 4-byte-per-level mapping and no per-level
+    # class list
     (peak_kb,) = _child(CHAIN)
-    assert int(peak_kb) < 128 * 1024
+    assert int(peak_kb) < 48 * 1024
 
 
 def test_verify_perm_file_at_width_20_in_bounded_memory(tmp_path):
