@@ -22,8 +22,9 @@ import math
 import random
 import time
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .errors import DomainError
 from .indexing import (
@@ -78,7 +79,9 @@ def bench_scaling(
     seed: int = 0,
 ) -> BenchResult:
     """Measure f_perm query growth over n_list; fit the log-log slope."""
-    if not n_list or any(not isinstance(n, int) or n < 1 for n in n_list):
+    if not isinstance(n_list, Sequence) or not n_list or any(
+        not isinstance(n, int) or n < 1 for n in n_list
+    ):
         raise DomainError(f"n_list must be non-empty positive integers, got {n_list!r}")
     if not isinstance(samples_per_n, int) or samples_per_n < 1:
         raise DomainError(f"samples_per_n must be an integer >= 1, got {samples_per_n!r}")
@@ -126,8 +129,6 @@ class CheckResult:
 
 @dataclass
 class SelfTestReport:
-    model_id: str
-    n_max: int
     results: List[CheckResult] = field(default_factory=list)
 
     @property
@@ -234,9 +235,7 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     return out
 
 
-def selftest(
-    model: OutcomeModel, n_max: int, model_id: str = "model", seed: int = 0
-) -> SelfTestReport:
+def selftest(model: OutcomeModel, n_max: int, seed: int = 0) -> SelfTestReport:
     """Run every invariant suite exhaustively for n = 1..n_max."""
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
@@ -245,7 +244,7 @@ def selftest(
             f"selftest needs n_max(M+1) <= {EXPLICIT_WIDTH_LIMIT}, "
             f"got {n_max * (model.M + 1)}"
         )
-    report = SelfTestReport(model_id, n_max)
+    report = SelfTestReport()
     if model.haar is not None:
         ok = model.variance == theta_squared(model.haar) and model.mean == 0
         report.results.append(

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand reads a model file (--model PATH, or the built-ins
-'builtin:A' / 'builtin:B'), emits CSV rows (default) or JSON
+'builtin:A' / 'builtin:B'); main loads it and builds its value table
+once for every subcommand that takes --n, and model, bench and selftest
+load their own.  Each subcommand emits CSV rows (default) or JSON
 (--format json) on stdout, and is byte-deterministic for fixed inputs
 and seed; bench is the one exception, whose wall-time column can be
 zeroed with --no-timing.  Big integers are printed in decimal; in JSON
@@ -40,6 +42,7 @@ from .outcomes import (
     theta_squared,
 )
 from .permutations import (
+    AdmissiblePermutation,
     _canonical_inverse,
     _canonical_mapping,
     admissibility_failure,
@@ -63,14 +66,10 @@ def _emit(lines: Iterable[str]):
         print(line)
 
 
-def _json_int(x: int):
-    # decimal strings keep arbitrary precision safe for consumers
-    return str(x)
-
-
-def _load_perm_file(path: str, table: ValueTable) -> memoryview:
-    """The 'ell,pi(ell)' rows of a permutation file, in any order, as a
-    read-only array('I') view; every level and image lies in [0, m^n)."""
+def _load_perm_file(path: str, table: ValueTable) -> AdmissiblePermutation:
+    """The 'ell,pi(ell)' rows of a permutation file, in any order, as the
+    level mapping they list; every level and image lies in [0, m^n).
+    Admissibility is not checked here."""
     _require_explicit(table.width, "permutation files")
     num = table.num_indices
     mapping = array("I", [num]) * num  # num marks a level with no row yet
@@ -104,7 +103,14 @@ def _load_perm_file(path: str, table: ValueTable) -> memoryview:
     missing = mapping.count(num)
     if missing:
         raise DomainError(f"{path}: {num - missing} rows, expected {num} (one per level)")
-    return memoryview(mapping).toreadonly()
+    return AdmissiblePermutation(table, memoryview(mapping).toreadonly())
+
+
+def _perm(args, table: ValueTable) -> AdmissiblePermutation:
+    """The permutation in the --perm file, or F_n without one."""
+    if args.perm:
+        return _load_perm_file(args.perm, table)
+    return canonical_permutation(table)
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -154,9 +160,7 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
+def _cmd_table(args, table: ValueTable) -> int:
     if args.format == "json":
         doc = {
             "n": table.n,
@@ -164,12 +168,12 @@ def _cmd_table(args) -> int:
                 {
                     "t": t,
                     "value": table.values[t].text(),
-                    "gamma": _json_int(table.gammas[t]),
-                    "smc": _json_int(table.smc[t]),
+                    "gamma": str(table.gammas[t]),
+                    "smc": str(table.smc[t]),
                 }
                 for t in range(table.T + 1)
             ],
-            "total": _json_int(table.smc[-1]),
+            "total": str(table.smc[-1]),
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -201,18 +205,16 @@ def _step_rows(table: ValueTable) -> Iterator[Tuple[int, int]]:
             yield ell, t
 
 
-def _cmd_step(args) -> int:
-    return _emit_classes(args, istep, _step_rows)
+def _cmd_step(args, table: ValueTable) -> int:
+    return _emit_classes(args, table, istep, _step_rows)
 
 
-def _cmd_weight(args) -> int:
-    return _emit_classes(args, iweight, lambda table: enumerate(weight_classes(table)))
+def _cmd_weight(args, table: ValueTable) -> int:
+    return _emit_classes(args, table, iweight, lambda table: enumerate(weight_classes(table)))
 
 
-def _emit_classes(args, lazy, listing) -> int:
+def _emit_classes(args, table: ValueTable, lazy, listing) -> int:
     """'ell,t,value' for the class t of each addressed level; CSV streams."""
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
     rows = _rows(args, table, lazy, listing)
     # each class's text once; --ell formats only its own class
     classes = range(table.T + 1) if args.all else [rows[0][1]]
@@ -225,11 +227,7 @@ def _emit_classes(args, lazy, listing) -> int:
     return 0
 
 
-def _cmd_beta(args) -> int:
-    model = _load(args.model)
-    if args.brute:  # refuse before the table build, which alone takes seconds
-        _require_explicit(args.n * (model.M + 1), "brute-force beta scans")
-    table = build_value_table(model, args.n)
+def _cmd_beta(args, table: ValueTable) -> int:
     use_fast = args.fast or not args.brute
     use_brute = args.brute
     values = []
@@ -252,50 +250,39 @@ def _cmd_beta(args) -> int:
     if args.format == "json":
         doc = {"t": args.t, "xi": args.xi}
         if use_fast:
-            doc["fast"] = _json_int(values[0])
+            doc["fast"] = str(values[0])
         if use_brute:
-            doc["brute"] = _json_int(values[-1])
-        doc["alpha"] = _json_int(alpha(table, args.t, args.xi))
+            doc["brute"] = str(values[-1])
+        doc["alpha"] = str(alpha(table, args.t, args.xi))
         print(json.dumps(doc, indent=2))
     else:
         print(",".join(str(v) for v in values))
     return 0
 
 
-def _cmd_fperm(args) -> int:
-    return _emit_pairs(
-        args, f_perm, lambda table: enumerate(_canonical_mapping(table))
-    )
+def _cmd_fperm(args, table: ValueTable) -> int:
+    rows = _rows(args, table, f_perm, lambda table: enumerate(_canonical_mapping(table)))
+    return _emit_pairs(args, rows)
 
 
-def _cmd_invf(args) -> int:
-    return _emit_pairs(
-        args, inv_f, lambda table: enumerate(_canonical_inverse(table))
-    )
+def _cmd_invf(args, table: ValueTable) -> int:
+    rows = _rows(args, table, inv_f, lambda table: enumerate(_canonical_inverse(table)))
+    return _emit_pairs(args, rows)
 
 
-def _emit_pairs(args, lazy, listing) -> int:
-    """One value at --ell, or streamed 'ell,value' rows at --all."""
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
-    rows = _rows(args, table, lazy, listing)
+def _emit_pairs(args, rows: Iterable[Tuple[int, int]]) -> int:
+    """'ell,value' rows, streamed in CSV; the value alone at a single --ell."""
     if args.format == "json":
         print(json.dumps([[e, v] for e, v in rows]))
-    elif args.all:
-        _emit(f"{e},{v}" for e, v in rows)
-    else:
+    elif getattr(args, "ell", None) is not None:
         print(rows[0][1])
+    else:
+        _emit(f"{e},{v}" for e, v in rows)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
-    if args.perm:
-        mapping = _load_perm_file(args.perm, table)
-    else:
-        mapping = canonical_permutation(table).mapping
-    reason = admissibility_failure(table, mapping)
+def _cmd_verify(args, table: ValueTable) -> int:
+    reason = admissibility_failure(table, _perm(args, table))
     if args.format == "json":
         doc = {"admissible": reason is None}
         if reason is not None:
@@ -308,9 +295,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_count(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
+def _cmd_count(args, table: ValueTable) -> int:
     count = count_admissible(table)
     # MAX_COUNT_BITS admits about 1.3M digits, past Python's text limit
     limit = sys.get_int_max_str_digits()
@@ -326,30 +311,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_random(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
-    perm = random_admissible(table, args.seed)
-    if args.format == "json":
-        print(json.dumps([[e, v] for e, v in enumerate(perm.mapping)]))
-    else:
-        _emit(f"{e},{v}" for e, v in enumerate(perm.mapping))
-    return 0
+def _cmd_random(args, table: ValueTable) -> int:
+    return _emit_pairs(args, enumerate(random_admissible(table, args.seed).mapping))
 
 
-def _cmd_repr(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
-    if args.perm:
-        perm = _load_perm_file(args.perm, table)
-    else:
-        perm = canonical_permutation(table)
-    rep = representation_from_perm(table, perm)
+def _cmd_repr(args, table: ValueTable) -> int:
+    rep = representation_from_perm(table, _perm(args, table))
     rows = _decoded_rows(table, rep.mapping)
     if args.format == "json":
         doc = [{"ell": ell, "ranks": list(row)} for ell, row in enumerate(rows)]
         print(json.dumps(doc))
     else:
+        model = table.model
         text = {s: model.outcome(s).text() for s in range(1, model.m + 1)}
         _emit(
             f"{ell},{i},{s},{text[s]}"
@@ -359,9 +332,7 @@ def _cmd_repr(args) -> int:
     return 0
 
 
-def _cmd_clt(args) -> int:
-    model = _load(args.model)
-    table = build_value_table(model, args.n)
+def _cmd_clt(args, table: ValueTable) -> int:
     result = clt_table(table, grid_size=args.grid)
     if args.format == "json":
         doc = {
@@ -400,8 +371,8 @@ def _cmd_bench(args) -> int:
                     "model": r.model_id,
                     "n": r.n,
                     "operation": r.operation,
-                    "tau1_queries": _json_int(r.tau1_queries),
-                    "bigint_ops": _json_int(r.bigint_ops),
+                    "tau1_queries": str(r.tau1_queries),
+                    "bigint_ops": str(r.bigint_ops),
                     "wall_time": r.wall_time if show_time else 0.0,
                 }
                 for r in result.records
@@ -423,7 +394,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     model = _load(args.model)
-    report = selftest(model, args.n_max, model_id=args.model, seed=args.seed)
+    report = selftest(model, args.n_max, seed=args.seed)
     if args.format == "json":
         doc = [
             {
@@ -581,7 +552,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.fn(args)
+        if "n" not in args:  # model, bench and selftest load their own models
+            return args.fn(args)
+        model = _load(args.model)
+        if getattr(args, "brute", False):  # refused before the build, which takes seconds
+            _require_explicit(args.n * (model.M + 1), "brute-force beta scans")
+        return args.fn(args, build_value_table(model, args.n))
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -28,7 +28,13 @@ a read-only array('I') view of pi(0), pi(1), ....  It is also the strong
 trim representation of pi (see representation): row ell of the array is
 decode(pi(ell)), decoded when read, and rows given by a caller enter
 through from_rows, which encodes each row once with encode_weight_index.
-Explicit tables are only materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
+Every function that takes a permutation (admissibility_failure,
+verify_admissible, blocks_of and the conversions of representation)
+takes an AdmissiblePermutation as it is and any other level mapping
+through as_permutation, whose constructor refuses with DomainError what
+is not an iterable of ints in [0, 2^32); so the admissibility pass
+tests each image's range only, never its type.  Explicit tables are
+only materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
 
 The characterizing relation: ell' = F_n(ell) is the unique solution of
 
@@ -134,14 +140,16 @@ class AdmissiblePermutation:
 
     def __init__(self, table: ValueTable, mapping: Iterable[int]):
         """Keeps mapping if it is a read-only array('I') view, as the
-        cached F_n is, and copies it into one otherwise."""
+        cached F_n is, and copies it into one otherwise; DomainError if
+        it is not an iterable of ints in [0, 2^32) or the table is wider
+        than EXPLICIT_WIDTH_LIMIT.  Admissibility is not checked here."""
         _require_explicit(table.width)
         self.table = table
         self.n = table.n
         frozen = isinstance(mapping, memoryview) and mapping.readonly
         if not (frozen and mapping.format == "I"):
-            try:
-                mapping = memoryview(array("I", mapping)).toreadonly()
+            try:  # iter: array() would read bytes as raw machine words
+                mapping = memoryview(array("I", iter(mapping))).toreadonly()
             except (TypeError, OverflowError) as e:
                 raise DomainError(f"a level mapping holds ints in [0, 2^32): {e}") from None
         self.mapping = mapping
@@ -194,9 +202,9 @@ class AdmissiblePermutation:
         return len(self.mapping)
 
     def __eq__(self, other):
-        if isinstance(other, AdmissiblePermutation):
-            return self.mapping == other.mapping
-        return NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.mapping == other.mapping
 
     def __repr__(self):
         return f"AdmissiblePermutation(n={self.n}, size={len(self.mapping)})"
@@ -239,31 +247,40 @@ def canonical_permutation(table: ValueTable) -> AdmissiblePermutation:
     return AdmissiblePermutation(table, _canonical_mapping(table))
 
 
-def blocks_of(table: ValueTable, mapping: Sequence[int]) -> List[Tuple[int, ...]]:
+PermLike = Union[AdmissiblePermutation, Iterable[int]]
+
+
+def as_permutation(table: ValueTable, perm: PermLike) -> AdmissiblePermutation:
+    """perm itself if it is an AdmissiblePermutation, else the one over the
+    level mapping perm (DomainError if perm is no such mapping; see the
+    constructor)."""
+    if isinstance(perm, AdmissiblePermutation):
+        return perm
+    return AdmissiblePermutation(table, perm)
+
+
+def blocks_of(table: ValueTable, perm: PermLike) -> List[Tuple[int, ...]]:
     """Recover the per-class rank permutations of an admissible mapping.
 
     phi_t(s) = F_n^{-1}(pi(SMC(t) + s - 1)) - SMC(t) + 1.
     """
-    _require_explicit(table.width)
-    reason = admissibility_failure(table, mapping)
+    perm = as_permutation(table, perm)
+    reason = admissibility_failure(table, perm)
     if reason is not None:
         raise DomainError(f"mapping is not admissible: {reason}")
     inv = _canonical_inverse(table)
     smc = table.smc
     return [
-        tuple(inv[ellp] - smc[t] + 1 for ellp in mapping[smc[t]:smc[t + 1]])
+        tuple(inv[ellp] - smc[t] + 1 for ellp in perm.mapping[smc[t]:smc[t + 1]])
         for t in range(table.T + 1)
     ]
-
-
-PermLike = Union[AdmissiblePermutation, Sequence[int]]
 
 
 def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
     """None if admissible, else a one-line reason, from one pass in level
     order that reports the first class mismatch only if no range or
     bijection fault follows it."""
-    mapping = perm.mapping if isinstance(perm, AdmissiblePermutation) else perm
+    mapping = as_permutation(table, perm).mapping
     num = table.num_indices
     if len(mapping) != num:
         return f"mapping has {len(mapping)} entries, expected {num}"
@@ -274,8 +291,8 @@ def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
     mismatch = None
     for t, code in enumerate(table._class_by_code):
         for ell, ellp in enumerate(mapping[smc[t]:smc[t + 1]], smc[t]):
-            if not isinstance(ellp, int) or not 0 <= ellp < num:
-                return f"pi({ell}) = {ellp!r} is out of range [0, {num})"
+            if ellp >= num:
+                return f"pi({ell}) = {ellp} is out of range [0, {num})"
             if seen[ellp]:
                 return f"not a bijection: {ellp} hit twice (second time at ell={ell})"
             seen[ellp] = 1
@@ -288,7 +305,6 @@ def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
 
 
 def verify_admissible(table: ValueTable, perm: PermLike) -> bool:
-    _require_explicit(table.width)
     return admissibility_failure(table, perm) is None
 
 

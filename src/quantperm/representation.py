@@ -24,7 +24,11 @@ through AdmissiblePermutation.from_rows, which encodes each row once and
 refuses a malformed one.  The conversions below only check: the
 invariants hold iff the mapping is admissible (a row sums to IS*_n(ell)
 iff its class is istep(ell), and admissibility includes the bijection,
-which implies the marginals).
+which implies the marginals).  Each takes an AdmissiblePermutation or
+any level mapping, coerced by permutations.as_permutation, so an input
+that is no mapping of ints in [0, 2^32), or a table wider than
+EXPLICIT_WIDTH_LIMIT, is refused with DomainError rather than given a
+reason.
 
 clt_table compares the exact quantile cdf against the standard normal
 cdf on the standardized grid z_t = v_t / (theta sqrt(n)); the sup
@@ -39,20 +43,17 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .errors import DomainError
-from .indexing import _require_explicit
 from .multinomial import ValueTable
-from .permutations import AdmissiblePermutation, PermLike, admissibility_failure
+from .permutations import AdmissiblePermutation, PermLike, admissibility_failure, as_permutation
 
 
 def _admitted(table: ValueTable, perm: PermLike, what: str) -> AdmissiblePermutation:
     """perm as an AdmissiblePermutation, after one admissibility check."""
-    _require_explicit(table.width)
+    perm = as_permutation(table, perm)
     reason = admissibility_failure(table, perm)
     if reason is not None:
         raise DomainError(f"{what} is not admissible: {reason}")
-    if isinstance(perm, AdmissiblePermutation):
-        return perm
-    return AdmissiblePermutation(table, perm)
+    return perm
 
 
 def representation_from_perm(table: ValueTable, perm: PermLike) -> AdmissiblePermutation:

@@ -34,7 +34,7 @@ def test_degenerate_fits_and_sizes_are_domain_errors():
             fit_loglog_slope(points)
     with pytest.raises(DomainError, match="samples_per_n"):
         bench_scaling(builtin_model("A"), "A", [4, 8], samples_per_n=1.5)
-    for sizes in (["4"], [4, None]):
+    for sizes in (["4"], [4, None], 5, None):
         with pytest.raises(DomainError, match="n_list"):
             bench_scaling(builtin_model("A"), "A", sizes)
 
@@ -73,7 +73,7 @@ def test_bench_rejects_bad_args():
 
 
 def test_selftest_passes():
-    report = selftest(builtin_model("A"), 5, "A", seed=1)
+    report = selftest(builtin_model("A"), 5, seed=1)
     assert report.ok
     names = {c.name for c in report.results}
     assert {
@@ -90,16 +90,16 @@ def test_selftest_passes():
     assert "haar-moments" not in names  # A is not built from wavelet data
     assert {c.n for c in report.results} == set(range(1, 6))
 
-    report_b = selftest(builtin_model("B"), 3, "B", seed=1)
+    report_b = selftest(builtin_model("B"), 3, seed=1)
     assert report_b.ok
     assert "haar-moments" in {c.name for c in report_b.results}
 
 
 def test_selftest_rejects_oversized_request():
     with pytest.raises(DomainError):
-        selftest(builtin_model("B"), 13, "B")
+        selftest(builtin_model("B"), 13)
     with pytest.raises(DomainError):
-        selftest(builtin_model("A"), 0, "A")
+        selftest(builtin_model("A"), 0)
 
 
 def test_corrupted_table_is_caught():

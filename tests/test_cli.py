@@ -4,6 +4,7 @@ Golden outputs are asserted byte-for-byte where determinism is part of
 the contract (everything except bench wall times).
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -532,3 +533,70 @@ def test_json_formats_parse(capsys):
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "count", "--model", "builtin:Z", "--n", "2")
     assert code == 1 and "unknown builtin model" in err
+
+
+def _cli_battery(fn_file, bad_file, broken_file):
+    """argv lists over every subcommand: levels by --ell and --all, files
+    admissible, inadmissible and malformed, and the width-64 refusals."""
+    a3, b2 = ("--model", "builtin:A", "--n", "3"), ("--model", "builtin:B", "--n", "2")
+    wide = ("--model", "builtin:A", "--n", "64")
+    battery = [
+        ("model", "--builtin", "A"),
+        ("model", "--model", "builtin:B"),
+        ("table", *a3),
+        ("table", *b2),
+        ("beta", *b2, "--t", "3", "--xi", "15"),
+        ("beta", *b2, "--t", "1", "--xi", "11", "--fast", "--brute"),
+        ("beta", "--model", "builtin:B", "--n", "32", "--t", "40", "--xi", "7", "--brute"),
+        ("verify", *b2),
+        ("count", *b2),
+        ("count", "--model", "builtin:Z", "--n", "2"),
+        ("table", "--model", "builtin:A", "--n", "0"),
+        ("random", *a3, "--seed", "3"),
+        ("random", *b2, "--seed", "0"),
+        ("repr", *a3),
+        ("clt", *a3),
+        ("clt", "--model", "builtin:A", "--n", "16", "--grid", "4"),
+        ("bench", "--model", "builtin:A", "--n-list", "2,4", "--samples", "2", "--no-timing"),
+        ("selftest", "--model", "builtin:B", "--n-max", "2"),
+    ]
+    for command in ("step", "weight", "fperm", "invf"):
+        battery += [
+            (command, *a3, "--ell", "5"),
+            (command, *b2, "--all"),
+            (command, *a3, "--ell", "8"),
+            (command, *a3),
+            (command, *wide, "--all"),
+        ]
+    for command in ("verify", "repr"):
+        battery += [
+            (command, *b2, "--perm", fn_file),
+            (command, *b2, "--perm", bad_file),
+            (command, *b2, "--perm", broken_file),
+            (command, *wide, "--perm", fn_file),
+        ]
+    return [list(argv) + fmt for argv in battery for fmt in ([], ["--format", "json"])]
+
+
+# SHA-256 of the battery's (argv, exit code, stdout, stderr), recorded before
+# the subcommands shared one model load and table build
+CLI_DIGEST = "dbd4fd10dbc03e6ef7a594d64d06a6e5676f4de87b772a7b5f68080ae5b1a774"
+
+
+def test_cli_outputs_pinned(capsys, tmp_path):
+    table = build_value_table(builtin_model("B"), 2)
+    files = {"fn.csv": [f_perm(table, ell) for ell in range(table.num_indices)]}
+    files["bad.csv"] = list(range(table.num_indices))
+    for name, images in files.items():
+        (tmp_path / name).write_text("".join(f"{e},{v}\n" for e, v in enumerate(images)))
+    (tmp_path / "broken.csv").write_text("0,3\n1,x\n")
+    paths = [str(tmp_path / name) for name in ("fn.csv", "bad.csv", "broken.csv")]
+    record = []
+    for argv in _cli_battery(*paths):
+        code, out, err = run(capsys, *argv)
+        record.append(
+            [[a.replace(str(tmp_path), "{tmp}") for a in argv], code, out,
+             err.replace(str(tmp_path), "{tmp}")]
+        )
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == CLI_DIGEST

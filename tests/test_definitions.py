@@ -4,9 +4,9 @@ A definition in src/quantperm counts as used when its name appears
 anywhere in src/, tests/ or perfbench/ as a name, an attribute, an
 imported name, or a whole string constant (perfbench's tracer names
 the functions it wraps in strings).  Dunder methods are called by the
-interpreter and are exempt.  A name a module imports counts as used
-when that module reads it as a name; the package's __init__.py is
-exempt, as its imports are re-exports.
+interpreter and are exempt.  A name a module of the package or of
+tests/ imports counts as used when that module reads it as a name; the
+package's __init__.py is exempt, as its imports are re-exports.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def test_every_definition_is_referenced():
 
 def test_every_import_is_read():
     unread = []
-    for path, tree in _trees("src/quantperm"):
+    for path, tree in _trees("src/quantperm", "tests"):
         if path.name == "__init__.py":
             continue
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -13,7 +13,6 @@ from quantperm import (
     BitString,
     DomainError,
     LayoutModel,
-    builtin_model,
     eval_partial_sum,
     is_n,
     weight_index_of_bits,

@@ -13,8 +13,6 @@ from quantperm import (
     HaarSpec,
     build_haar,
     build_manual,
-    builtin_model,
-    haar_outcome,
     load_model,
     model_from_json,
     model_to_json,

@@ -34,7 +34,12 @@ from quantperm import (
 )
 from quantperm.indexing import EXPLICIT_WIDTH_LIMIT
 from quantperm.permutations import _canonical_inverse, admissibility_failure, blocks_of
-from quantperm.representation import perm_from_representation, representation_from_perm
+from quantperm.representation import (
+    perm_from_representation,
+    representation_failure,
+    representation_from_perm,
+    verify_representation,
+)
 
 F2_A = [3, 1, 2, 0]
 F2_B = [15, 11, 14, 7, 10, 13, 3, 6, 9, 12, 2, 5, 8, 1, 4, 0]
@@ -279,6 +284,45 @@ def test_explicit_width_limit(model_a):
 def test_mapping_entries_are_unsigned_32_bit_ints(tables, mapping):
     with pytest.raises(DomainError):
         AdmissiblePermutation(tables("A", 2), mapping)
+
+
+def test_bytes_are_a_mapping_of_their_elements(tables):
+    # not four raw bytes of one machine word
+    table = tables("A", 2)
+    perm = representation_from_perm(table, bytes(F2_A))
+    assert perm.mapping.tolist() == F2_A
+    assert blocks_of(table, bytearray(F2_A)) == [(1,), (1, 2), (1,)]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        admissibility_failure,
+        verify_admissible,
+        blocks_of,
+        representation_from_perm,
+        perm_from_representation,
+        representation_failure,
+        verify_representation,
+    ],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize(
+    "name, n, mapping",
+    [
+        ("A", 2, None),
+        ("A", 2, 5),
+        ("A", 2, [3, -1, 2, 0]),
+        ("A", 2, [3, "x", 2, 0]),
+        ("B", 32, [0, 1]),  # width 64, past EXPLICIT_WIDTH_LIMIT
+    ],
+    ids=["none", "int", "negative", "str", "too-wide"],
+)
+def test_every_permutation_taker_refuses_a_non_mapping(tables, check, name, n, mapping):
+    # every function that takes a permutation coerces it to an
+    # AdmissiblePermutation first, whose constructor refuses these
+    with pytest.raises(DomainError):
+        check(tables(name, n), mapping)
 
 
 def test_canonical_mapping_is_one_read_only_array():

@@ -7,7 +7,6 @@ used by the checker is itself under test.
 """
 
 import math
-from fractions import Fraction
 
 import mpmath
 import pytest
