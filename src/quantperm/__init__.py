@@ -61,7 +61,6 @@ from .permutations import (
     inv_f,
     make_admissible,
     random_admissible,
-    verify_admissible,
 )
 from .layout import BitString, LayoutModel, eval_partial_sum, weight_index_of_bits
 from .representation import (
@@ -69,7 +68,6 @@ from .representation import (
     normal_cdf,
     perm_from_representation,
     representation_from_perm,
-    verify_representation,
 )
 from .bench import BenchRecord, bench_scaling, fit_loglog_slope, selftest
 
@@ -130,7 +128,5 @@ __all__ = [
     "selftest",
     "tau2",
     "theta_squared",
-    "verify_admissible",
-    "verify_representation",
     "weight_index_of_bits",
 ]

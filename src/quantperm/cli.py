@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Every subcommand reads a model file (--model PATH, or the built-ins
-'builtin:A' / 'builtin:B'); main loads it and builds its value table
-once for every subcommand that takes --n, and model, bench and selftest
-load their own.  Each subcommand emits CSV rows (default) or JSON
-(--format json) on stdout, and is byte-deterministic for fixed inputs
-and seed; bench is the one exception, whose wall-time column can be
-zeroed with --no-timing.  Big integers are printed in decimal; in JSON
-they are carried as decimal strings.  Exit codes: 0 success, 1 domain
-error (diagnostics on stderr), 2 usage error.
+'builtin:A' / 'builtin:B'; model also takes --builtin NAME, which wins).
+main is the one place that loads the model, builds its value table once
+for every subcommand that takes --n, and prints: each subcommand body
+returns an Output, and main makes and prints its CSV lines (default) or
+its JSON document (--format json), never both.  Output is
+byte-deterministic for fixed inputs and seed; bench is the one
+exception, whose wall-time column can be zeroed with --no-timing.  Big
+integers are printed in decimal; in JSON they are carried as decimal
+strings.  Exit codes: 0 success, 1 domain error (diagnostics on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import argparse
 import json
 import sys
 from array import array
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from functools import partial
+from itertools import chain, repeat
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .bench import bench_scaling, selftest
 from .errors import DomainError
@@ -55,15 +60,22 @@ from .permutations import (
 from .representation import clt_table, representation_from_perm
 
 
-def _load(spec: str) -> OutcomeModel:
-    if spec.startswith("builtin:"):
-        return builtin_model(spec.split(":", 1)[1])
-    return load_model(spec)
+class Output(NamedTuple):
+    """A subcommand's JSON document and CSV lines, each made only if main
+    prints that format, its exit code and a note for stderr after stdout."""
+
+    json: Callable[[], object]
+    csv: Callable[[], Iterable[object]]
+    code: int = 0
+    note: str = ""
 
 
-def _emit(lines: Iterable[str]):
-    for line in lines:
-        print(line)
+def _write(kind: str, path: str, write: Callable[[str], object]):
+    """write(path), with a failure to write as a DomainError."""
+    try:
+        write(path)
+    except OSError as e:
+        raise DomainError(f"cannot write {kind} file {path}: {e.strerror or e}") from None
 
 
 def _load_perm_file(path: str, table: ValueTable) -> AdmissiblePermutation:
@@ -116,186 +128,136 @@ def _perm(args, table: ValueTable) -> AdmissiblePermutation:
 # -- subcommand bodies -------------------------------------------------------
 
 
-def _cmd_model(args) -> int:
-    if args.builtin:
-        model = builtin_model(args.builtin)
-    elif args.model:
-        model = _load(args.model)
-    else:
-        raise DomainError("model: need --model FILE or --builtin NAME")
+def _cmd_model(args, model: OutcomeModel) -> Output:
     if args.out:
-        try:
-            save_model(model, args.out)
-        except OSError as e:
-            raise DomainError(
-                f"cannot write model file {args.out}: {e.strerror or e}"
-            ) from None
-    doc = model_to_json(model)
-    doc["m"] = model.m
-    doc["mean"] = model.mean.text()
-    doc["variance"] = model.variance.text()
-    if model.haar is not None:
-        doc["theta_squared"] = theta_squared(model.haar).text()
-        doc["outcomes"] = [
-            {"pattern": list(model.pattern_of(s)), "value": model.outcome(s).text()}
-            for s in range(1, model.m + 1)
-        ]
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        _emit(
-            [
-                f"M,{model.M}",
-                f"m,{model.m}",
-                f"d,{model.d}",
-                f"strict,{str(model.strict).lower()}",
-                f"mean,{model.mean.text()}",
-                f"variance,{model.variance.text()}",
+        _write("model", args.out, partial(save_model, model))
+    outcomes = range(1, model.m + 1)
+
+    def doc():
+        doc = model_to_json(model)
+        doc["m"] = model.m
+        doc["mean"] = model.mean.text()
+        doc["variance"] = model.variance.text()
+        if model.haar is not None:
+            doc["theta_squared"] = theta_squared(model.haar).text()
+            doc["outcomes"] = [
+                {"pattern": list(model.pattern_of(s)), "value": model.outcome(s).text()}
+                for s in outcomes
             ]
-            + [
-                f"outcome,{s},{''.join(map(str, model.pattern_of(s)))},{model.outcome(s).text()}"
-                for s in range(1, model.m + 1)
-            ]
-        )
-    return 0
+        return doc
+
+    return Output(doc, lambda: [
+        f"M,{model.M}",
+        f"m,{model.m}",
+        f"d,{model.d}",
+        f"strict,{str(model.strict).lower()}",
+        f"mean,{model.mean.text()}",
+        f"variance,{model.variance.text()}",
+    ] + [
+        f"outcome,{s},{''.join(map(str, model.pattern_of(s)))},{model.outcome(s).text()}"
+        for s in outcomes
+    ])
 
 
-def _cmd_table(args, table: ValueTable) -> int:
-    if args.format == "json":
-        doc = {
+def _cmd_table(args, table: ValueTable) -> Output:
+    def rows():  # (t, value, gamma, SMC(t)) of every class
+        columns = zip(table.values, table.gammas, table.smc)
+        return ((t, v.text(), g, c) for t, (v, g, c) in enumerate(columns))
+
+    total = table.smc[-1]
+    return Output(
+        lambda: {
             "n": table.n,
             "classes": [
-                {
-                    "t": t,
-                    "value": table.values[t].text(),
-                    "gamma": str(table.gammas[t]),
-                    "smc": str(table.smc[t]),
-                }
-                for t in range(table.T + 1)
+                {"t": t, "value": v, "gamma": str(g), "smc": str(c)} for t, v, g, c in rows()
             ],
-            "total": str(table.smc[-1]),
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        _emit(
-            [f"{t},{table.values[t].text()},{table.gammas[t]},{table.smc[t]}"
-             for t in range(table.T + 1)]
-            + [f"total,,,{table.smc[-1]}"]
-        )
-    return 0
+            "total": str(total),
+        },
+        lambda: chain((f"{t},{v},{g},{c}" for t, v, g, c in rows()), [f"total,,,{total}"]),
+    )
 
 
 def _rows(args, table: ValueTable, lazy, listing) -> Iterable[Tuple[int, int]]:
     """(ell, value) at the addressed levels: lazy(table, ell) at --ell, and
-    at --all the pairs listing(table) streams in level order from the
-    explicit tables."""
+    at --all every level's value as listing(table) streams them in level
+    order from the explicit tables."""
     if args.all:
         _require_explicit(table.width, "--all listings")
-        return listing(table)
+        return enumerate(listing(table))
     if args.ell is None:
         raise DomainError("need --ell L or --all")
     return [(args.ell, lazy(table, args.ell))]
 
 
-def _step_rows(table: ValueTable) -> Iterator[Tuple[int, int]]:
-    """(ell, istep(ell)) over the step blocks [SMC(t), SMC(t+1))."""
-    smc = table.smc
-    for t in range(table.T + 1):
-        for ell in range(smc[t], smc[t + 1]):
-            yield ell, t
+def _step_classes(table: ValueTable) -> Iterator[int]:
+    """istep of every level: t over its step block [SMC(t), SMC(t+1))."""
+    return chain.from_iterable(map(repeat, range(table.T + 1), table.gammas))
 
 
-def _cmd_step(args, table: ValueTable) -> int:
-    return _emit_classes(args, table, istep, _step_rows)
-
-
-def _cmd_weight(args, table: ValueTable) -> int:
-    return _emit_classes(args, table, iweight, lambda table: enumerate(weight_classes(table)))
-
-
-def _emit_classes(args, table: ValueTable, lazy, listing) -> int:
+def _classes(lazy, listing, args, table: ValueTable) -> Output:
     """'ell,t,value' for the class t of each addressed level; CSV streams."""
     rows = _rows(args, table, lazy, listing)
     # each class's text once; --ell formats only its own class
     classes = range(table.T + 1) if args.all else [rows[0][1]]
     texts = {t: table.values[t].text() for t in classes}
-    if args.format == "json":
-        doc = [{"ell": e, "t": t, "value": texts[t]} for e, t in rows]
-        print(json.dumps(doc, indent=2))
-    else:
-        _emit(f"{e},{t},{texts[t]}" for e, t in rows)
-    return 0
+    return Output(
+        lambda: [{"ell": e, "t": t, "value": texts[t]} for e, t in rows],
+        lambda: (f"{e},{t},{texts[t]}" for e, t in rows),
+    )
 
 
-def _cmd_beta(args, table: ValueTable) -> int:
-    use_fast = args.fast or not args.brute
-    use_brute = args.brute
-    values = []
-    if use_fast:
-        values.append(beta_fast(table, args.t, args.xi))
-    if use_brute:
-        values.append(beta_bruteforce(table, args.t, args.xi))
+def _cmd_beta(args, table: ValueTable) -> Output:
+    values = {}  # "fast" before "brute", as JSON lists them
+    if args.fast or not args.brute:
+        values["fast"] = beta_fast(table, args.t, args.xi)
+    if args.brute:
+        values["brute"] = beta_bruteforce(table, args.t, args.xi)
     if args.trace:
         walk = beta_fast_trace(table, args.t, args.xi)
-        lines = [f"{zeta},{contrib}" for zeta, contrib in walk.steps]
-        lines.append(f"self,{walk.self_term}")
-        lines.append(f"total,{walk.total}")
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as e:
-            raise DomainError(
-                f"cannot write trace file {args.trace}: {e.strerror or e}"
-            ) from None
-    if args.format == "json":
-        doc = {"t": args.t, "xi": args.xi}
-        if use_fast:
-            doc["fast"] = str(values[0])
-        if use_brute:
-            doc["brute"] = str(values[-1])
-        doc["alpha"] = str(alpha(table, args.t, args.xi))
-        print(json.dumps(doc, indent=2))
-    else:
-        print(",".join(str(v) for v in values))
-    return 0
+        text = "".join(f"{zeta},{contrib}\n" for zeta, contrib in walk.steps)
+        text += f"self,{walk.self_term}\ntotal,{walk.total}\n"
+        _write("trace", args.trace, lambda path: Path(path).write_text(text, encoding="utf-8"))
+    return Output(
+        lambda: {
+            "t": args.t,
+            "xi": args.xi,
+            **{key: str(v) for key, v in values.items()},
+            "alpha": str(alpha(table, args.t, args.xi)),
+        },
+        lambda: [",".join(map(str, values.values()))],
+    )
 
 
-def _cmd_fperm(args, table: ValueTable) -> int:
-    rows = _rows(args, table, f_perm, lambda table: enumerate(_canonical_mapping(table)))
-    return _emit_pairs(args, rows)
+def _levels(lazy, listing, args, table: ValueTable) -> Output:
+    """'ell,value' at the addressed levels: fperm and invf."""
+    return _pairs(args, _rows(args, table, lazy, listing))
 
 
-def _cmd_invf(args, table: ValueTable) -> int:
-    rows = _rows(args, table, inv_f, lambda table: enumerate(_canonical_inverse(table)))
-    return _emit_pairs(args, rows)
+def _cmd_random(args, table: ValueTable) -> Output:
+    return _pairs(args, enumerate(random_admissible(table, args.seed).mapping))
 
 
-def _emit_pairs(args, rows: Iterable[Tuple[int, int]]) -> int:
+def _pairs(args, rows: Iterable[Tuple[int, int]]) -> Output:
     """'ell,value' rows, streamed in CSV; the value alone at a single --ell."""
-    if args.format == "json":
-        print(json.dumps([[e, v] for e, v in rows]))
-    elif getattr(args, "ell", None) is not None:
-        print(rows[0][1])
-    else:
-        _emit(f"{e},{v}" for e, v in rows)
-    return 0
+    single = getattr(args, "ell", None) is not None
+    return Output(
+        lambda: [[e, v] for e, v in rows],
+        lambda: [rows[0][1]] if single else (f"{e},{v}" for e, v in rows),
+    )
 
 
-def _cmd_verify(args, table: ValueTable) -> int:
+def _cmd_verify(args, table: ValueTable) -> Output:
     reason = admissibility_failure(table, _perm(args, table))
-    if args.format == "json":
-        doc = {"admissible": reason is None}
-        if reason is not None:
-            doc["reason"] = reason
-        print(json.dumps(doc))
-    else:
-        print("true" if reason is None else "false")
-    if reason is not None:
-        print(f"not admissible: {reason}", file=sys.stderr)
-    return 0
+    if reason is None:
+        return Output(lambda: {"admissible": True}, lambda: ["true"])
+    return Output(
+        lambda: {"admissible": False, "reason": reason},
+        lambda: ["false"],
+        note=f"not admissible: {reason}",
+    )
 
 
-def _cmd_count(args, table: ValueTable) -> int:
+def _cmd_count(args, table: ValueTable) -> Output:
     count = count_admissible(table)
     # MAX_COUNT_BITS admits about 1.3M digits, past Python's text limit
     limit = sys.get_int_max_str_digits()
@@ -304,38 +266,28 @@ def _cmd_count(args, table: ValueTable) -> int:
         text = str(count)
     finally:
         sys.set_int_max_str_digits(limit)
-    if args.format == "json":
-        print(json.dumps({"count": text}))
-    else:
-        print(text)
-    return 0
+    return Output(lambda: {"count": text}, lambda: [text])
 
 
-def _cmd_random(args, table: ValueTable) -> int:
-    return _emit_pairs(args, enumerate(random_admissible(table, args.seed).mapping))
-
-
-def _cmd_repr(args, table: ValueTable) -> int:
+def _cmd_repr(args, table: ValueTable) -> Output:
     rep = representation_from_perm(table, _perm(args, table))
     rows = _decoded_rows(table, rep.mapping)
-    if args.format == "json":
-        doc = [{"ell": ell, "ranks": list(row)} for ell, row in enumerate(rows)]
-        print(json.dumps(doc))
-    else:
-        model = table.model
-        text = {s: model.outcome(s).text() for s in range(1, model.m + 1)}
-        _emit(
+    model = table.model
+    text = {s: model.outcome(s).text() for s in range(1, model.m + 1)}
+    return Output(
+        lambda: [{"ell": ell, "ranks": list(row)} for ell, row in enumerate(rows)],
+        lambda: (
             f"{ell},{i},{s},{text[s]}"
             for ell, row in enumerate(rows)
             for i, s in enumerate(row, start=1)
-        )
-    return 0
+        ),
+    )
 
 
-def _cmd_clt(args, table: ValueTable) -> int:
+def _cmd_clt(args, table: ValueTable) -> Output:
     result = clt_table(table, grid_size=args.grid)
-    if args.format == "json":
-        doc = {
+    return Output(
+        lambda: {
             "n": result.n,
             "theta": result.theta,
             "sup_distance": result.sup_distance,
@@ -343,18 +295,15 @@ def _cmd_clt(args, table: ValueTable) -> int:
                 {"z": r.z, "empirical": r.empirical, "normal": r.reference}
                 for r in result.rows
             ],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        _emit(
-            [f"{r.z:.9g},{r.empirical:.9g},{r.reference:.9g}" for r in result.rows]
-            + [f"sup_distance,{result.sup_distance:.9g},"]
-        )
-    return 0
+        },
+        lambda: [
+            *(f"{r.z:.9g},{r.empirical:.9g},{r.reference:.9g}" for r in result.rows),
+            f"sup_distance,{result.sup_distance:.9g},",
+        ],
+    )
 
 
-def _cmd_bench(args) -> int:
-    model = _load(args.model)
+def _cmd_bench(args, model: OutcomeModel) -> Output:
     try:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError:
@@ -363,82 +312,96 @@ def _cmd_bench(args) -> int:
         model, args.model, n_list, samples_per_n=args.samples, seed=args.seed
     )
     show_time = not args.no_timing
-    if args.format == "json":
-        doc = {
+    records = [(r, r.wall_time if show_time else 0.0) for r in result.records]
+    return Output(
+        lambda: {
             "slope": result.slope,
             "records": [
-                {
-                    "model": r.model_id,
-                    "n": r.n,
-                    "operation": r.operation,
-                    "tau1_queries": str(r.tau1_queries),
-                    "bigint_ops": str(r.bigint_ops),
-                    "wall_time": r.wall_time if show_time else 0.0,
-                }
-                for r in result.records
+                {"model": r.model_id, "n": r.n, "operation": r.operation,
+                 "tau1_queries": str(r.tau1_queries), "bigint_ops": str(r.bigint_ops),
+                 "wall_time": wall}
+                for r, wall in records
             ],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        lines = []
-        for r in result.records:
-            wt = f"{r.wall_time:.6f}" if show_time else "0.000000"
-            lines.append(
-                f"{r.model_id},{r.n},{r.operation},{r.tau1_queries},"
-                f"{r.bigint_ops},{wt}"
-            )
-        lines.append(f"slope,{result.slope:.4f}")
-        _emit(lines)
-    return 0
+        },
+        lambda: [
+            *(f"{r.model_id},{r.n},{r.operation},{r.tau1_queries},{r.bigint_ops},{wall:.6f}"
+              for r, wall in records),
+            f"slope,{result.slope:.4f}",
+        ],
+    )
 
 
-def _cmd_selftest(args) -> int:
-    model = _load(args.model)
+def _cmd_selftest(args, model: OutcomeModel) -> Output:
     report = selftest(model, args.n_max, seed=args.seed)
-    if args.format == "json":
-        doc = [
-            {
-                "check": r.name,
-                "n": r.n,
-                "checked": r.checked,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in report.results
-        ]
-        print(json.dumps(doc, indent=2))
-    else:
-        _emit(
-            [
-                f"{r.name},{r.n},{r.checked},{'pass' if r.passed else 'FAIL'}"
-                for r in report.results
-            ]
-        )
-    return 0 if report.ok else 1
+    results = report.results
+    return Output(
+        lambda: [
+            {"check": r.name, "n": r.n, "checked": r.checked, "passed": r.passed,
+             "detail": r.detail}
+            for r in results
+        ],
+        lambda: (
+            f"{r.name},{r.n},{r.checked},{'pass' if r.passed else 'FAIL'}" for r in results
+        ),
+        code=0 if report.ok else 1,
+    )
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p, model_required=True):
-    p.add_argument(
-        "--model",
-        required=model_required,
-        help="model JSON file, or builtin:A / builtin:B",
-    )
-    p.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
+def _opt(*flags, **kwargs):
+    return flags, kwargs
 
 
-def _add_n(p):
-    p.add_argument("--n", type=int, required=True, help="sum length n >= 1")
-
-
-def _add_levels(p):
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--ell", type=int, help="one level index")
-    group.add_argument("--all", action="store_true", help="every level index")
+# name, help, body, JSON indent, whether it takes --n and the --ell/--all
+# group, then its own options; model, bench and selftest get the model,
+# every other body the table main builds at --n
+_COMMANDS = (
+    ("model", "inspect a model file or materialize a builtin", _cmd_model, 2, False, False, (
+        _opt("--builtin", choices=("A", "B"), help="use a built-in model"),
+        _opt("--out", help="also write the model JSON to this path"),
+    )),
+    ("table", "dump the value classes: t,value,gamma,smc", _cmd_table, 2, True, False, ()),
+    ("step", "istep and sorted value at levels: ell,t,value",
+     partial(_classes, istep, _step_classes), 2, True, True, ()),
+    ("weight", "iweight and decoded value: ell,t,value",
+     partial(_classes, iweight, weight_classes), 2, True, True, ()),
+    ("beta", "class count below a cutoff", _cmd_beta, 2, True, False, (
+        _opt("--t", type=int, required=True, help="value class"),
+        _opt("--xi", type=int, required=True, help="inclusive cutoff"),
+        _opt("--fast", action="store_true", help="use the prefix walk"),
+        _opt("--brute", action="store_true", help="use the exhaustive scan"),
+        _opt("--trace", help="write per-position walk contributions (CSV) here"),
+    )),
+    ("fperm", "canonical admissible permutation F_n",
+     partial(_levels, f_perm, _canonical_mapping), None, True, True, ()),
+    ("invf", "inverse of F_n", partial(_levels, inv_f, _canonical_inverse), None, True, True, ()),
+    ("verify", "check a permutation file for admissibility", _cmd_verify, None, True, False, (
+        _opt("--perm", help="CSV file of 'ell,pi(ell)' rows (default: F_n)"),
+    )),
+    ("count", "number of admissible permutations", _cmd_count, None, True, False, ()),
+    ("random", "seeded uniform admissible permutation", _cmd_random, None, True, False, (
+        _opt("--seed", type=int, required=True),
+    )),
+    ("repr", "representation rows: ell,i,rank,value", _cmd_repr, None, True, False, (
+        _opt("--perm", help="CSV permutation file (default: F_n)"),
+    )),
+    ("clt", "exact cdf against the normal cdf", _cmd_clt, 2, True, False, (
+        _opt("--grid", type=int, help="subsample the rows to this many"),
+    )),
+    ("bench", "query scaling of the lazy F evaluation", _cmd_bench, 2, False, False, (
+        _opt("--n-list", required=True, help="comma-separated n values"),
+        _opt("--samples", type=int, default=3, help="evaluations per n"),
+        _opt("--seed", type=int, default=0),
+        _opt("--no-timing", action="store_true",
+             help="zero the wall-time column for byte-reproducible output"),
+    )),
+    ("selftest", "exhaustive invariant suites up to n_max", _cmd_selftest, 2, False, False, (
+        _opt("--n-max", type=int, required=True),
+        _opt("--seed", type=int, default=0),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,98 +413,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("model", help="inspect a model file or materialize a builtin")
-    _add_common(p, model_required=False)
-    p.add_argument("--builtin", choices=("A", "B"), help="use a built-in model")
-    p.add_argument("--out", help="also write the model JSON to this path")
-    p.set_defaults(fn=_cmd_model)
-
-    p = sub.add_parser("table", help="dump the value classes: t,value,gamma,smc")
-    _add_common(p)
-    _add_n(p)
-    p.set_defaults(fn=_cmd_table)
-
-    p = sub.add_parser("step", help="istep and sorted value at levels: ell,t,value")
-    _add_common(p)
-    _add_n(p)
-    _add_levels(p)
-    p.set_defaults(fn=_cmd_step)
-
-    p = sub.add_parser("weight", help="iweight and decoded value: ell,t,value")
-    _add_common(p)
-    _add_n(p)
-    _add_levels(p)
-    p.set_defaults(fn=_cmd_weight)
-
-    p = sub.add_parser("beta", help="class count below a cutoff")
-    _add_common(p)
-    _add_n(p)
-    p.add_argument("--t", type=int, required=True, help="value class")
-    p.add_argument("--xi", type=int, required=True, help="inclusive cutoff")
-    p.add_argument("--fast", action="store_true", help="use the prefix walk")
-    p.add_argument("--brute", action="store_true", help="use the exhaustive scan")
-    p.add_argument("--trace", help="write per-position walk contributions (CSV) here")
-    p.set_defaults(fn=_cmd_beta)
-
-    p = sub.add_parser("fperm", help="canonical admissible permutation F_n")
-    _add_common(p)
-    _add_n(p)
-    _add_levels(p)
-    p.set_defaults(fn=_cmd_fperm)
-
-    p = sub.add_parser("invf", help="inverse of F_n")
-    _add_common(p)
-    _add_n(p)
-    _add_levels(p)
-    p.set_defaults(fn=_cmd_invf)
-
-    p = sub.add_parser("verify", help="check a permutation file for admissibility")
-    _add_common(p)
-    _add_n(p)
-    p.add_argument("--perm", help="CSV file of 'ell,pi(ell)' rows (default: F_n)")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("count", help="number of admissible permutations")
-    _add_common(p)
-    _add_n(p)
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("random", help="seeded uniform admissible permutation")
-    _add_common(p)
-    _add_n(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(fn=_cmd_random)
-
-    p = sub.add_parser("repr", help="representation rows: ell,i,rank,value")
-    _add_common(p)
-    _add_n(p)
-    p.add_argument("--perm", help="CSV permutation file (default: F_n)")
-    p.set_defaults(fn=_cmd_repr)
-
-    p = sub.add_parser("clt", help="exact cdf against the normal cdf")
-    _add_common(p)
-    _add_n(p)
-    p.add_argument("--grid", type=int, help="subsample the rows to this many")
-    p.set_defaults(fn=_cmd_clt)
-
-    p = sub.add_parser("bench", help="query scaling of the lazy F evaluation")
-    _add_common(p)
-    p.add_argument("--n-list", required=True, help="comma-separated n values")
-    p.add_argument("--samples", type=int, default=3, help="evaluations per n")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--no-timing", action="store_true",
-        help="zero the wall-time column for byte-reproducible output",
-    )
-    p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser("selftest", help="exhaustive invariant suites up to n_max")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_selftest)
-
+    for name, summary, fn, indent, takes_n, takes_levels, options in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--model",
+            required=name != "model",  # model may take --builtin instead
+            help="model JSON file, or builtin:A / builtin:B",
+        )
+        p.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="output format"
+        )
+        if takes_n:
+            p.add_argument("--n", type=int, required=True, help="sum length n >= 1")
+        if takes_levels:
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--ell", type=int, help="one level index")
+            group.add_argument("--all", action="store_true", help="every level index")
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=fn, indent=indent)
     return parser
 
 
@@ -552,12 +442,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        if "n" not in args:  # model, bench and selftest load their own models
-            return args.fn(args)
-        model = _load(args.model)
-        if getattr(args, "brute", False):  # refused before the build, which takes seconds
-            _require_explicit(args.n * (model.M + 1), "brute-force beta scans")
-        return args.fn(args, build_value_table(model, args.n))
+        spec = f"builtin:{args.builtin}" if getattr(args, "builtin", None) else args.model
+        if spec is None:
+            raise DomainError("model: need --model FILE or --builtin NAME")
+        if spec.startswith("builtin:"):
+            model = builtin_model(spec.split(":", 1)[1])
+        else:
+            model = load_model(spec)
+        if "n" not in args:  # model, bench and selftest take the model
+            out = args.fn(args, model)
+        else:
+            if getattr(args, "brute", False):  # refused before the build, which takes seconds
+                _require_explicit(args.n * (model.M + 1), "brute-force beta scans")
+            out = args.fn(args, build_value_table(model, args.n))
+        if args.format == "json":
+            print(json.dumps(out.json(), indent=args.indent))
+        else:
+            for line in out.csv():
+                print(line)
+        if out.note:
+            print(out.note, file=sys.stderr)
+        return out.code
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

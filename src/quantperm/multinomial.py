@@ -13,11 +13,11 @@ The table is built on an integer lattice.  With D the lcm of the
 outcomes' denominators, o_s = (A_s + B_s sqrt(d)) / D for integers A_s,
 B_s, so a composition's value is the integer pair (sum k_s A_s,
 sum k_s B_s), packed into one int.  The build groups K_n by that int
-and sorts only the distinct classes, by the plain int when no outcome
-has a radical part and otherwise by an exact integer key (_lattice_key).
-One ExactScalar is made per class; none per composition.  A table
-wider than MAX_WIDTH bits or of more than MAX_COMPOSITIONS compositions
-is refused before enumeration.
+and sorts only the distinct classes, by one exact integer key
+(_lattice_key) for every model: with no radical part (every B_s = 0)
+the key of the pair (a, 0) is a 2^p.  One ExactScalar is made per
+class; none per composition.  A table wider than MAX_WIDTH bits or of
+more than MAX_COMPOSITIONS compositions is refused before enumeration.
 
 That int is also the class's lookup key: the table keeps each outcome's
 lattice code (codes), the same codes indexed by chunk value
@@ -262,7 +262,7 @@ def _build(model: OutcomeModel, n: int) -> ValueTable:
     B = [o.b.numerator * (den // o.b.denominator) for o in model.outcomes]
     bound = n * max(map(abs, A + B))
     # the pair (a, b) is the int a * span + b: |b| <= bound < span / 2
-    span = 2 * bound + 1 if any(B) else 1
+    span = 2 * bound + 1
     code = [a * span + b for a, b in zip(A, B)]
     h = model.m // 2
     # a high half with an (h+1)-th slack part r, then a composition of r:
@@ -276,12 +276,9 @@ def _build(model: OutcomeModel, n: int) -> ValueTable:
             entry = classes[hcode + lcode]
             entry.append(hk + lk)
             entry.append(hcoef * lcoef)
-    if span == 1:
-        order = keys = sorted(classes)
-    else:
-        keyed = sorted((_lattice_key(c, span, bound, model.d), c) for c in classes)
-        keys = [key for key, _ in keyed]
-        order = [c for _, c in keyed]
+    keyed = sorted((_lattice_key(c, span, bound, model.d), c) for c in classes)
+    keys = [key for key, _ in keyed]
+    order = [c for _, c in keyed]
     assert all(x < y for x, y in zip(keys, keys[1:])), "lattice keys must be distinct"
     values, members, coefs = [], [], []
     for c in order:
@@ -305,8 +302,6 @@ def _lattice_half(r: int, code: Sequence[int]):
 
 def _unpack(c: int, span: int, bound: int) -> Tuple[int, int]:
     """The lattice pair (a, b) packed in c = a * span + b."""
-    if span == 1:
-        return c, 0
     b = (c + bound) % span - bound
     return (c - b) // span, b
 

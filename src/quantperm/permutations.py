@@ -29,9 +29,10 @@ trim representation of pi (see representation): row ell of the array is
 decode(pi(ell)), decoded when read, and rows given by a caller enter
 through from_rows, which encodes each row once with encode_weight_index.
 Every function that takes a permutation (admissibility_failure,
-verify_admissible, blocks_of and the conversions of representation)
-takes an AdmissiblePermutation as it is and any other level mapping
-through as_permutation, whose constructor refuses with DomainError what
+blocks_of and the conversions of representation) takes an
+AdmissiblePermutation of its table as it is, and one of another table
+or any other level mapping through as_permutation, which wraps the
+mapping for the table; the constructor refuses with DomainError what
 is not an iterable of ints in [0, 2^32); so the admissibility pass
 tests each image's range only, never its type.  Explicit tables are
 only materialized for n(M+1) <= EXPLICIT_WIDTH_LIMIT.
@@ -251,11 +252,14 @@ PermLike = Union[AdmissiblePermutation, Iterable[int]]
 
 
 def as_permutation(table: ValueTable, perm: PermLike) -> AdmissiblePermutation:
-    """perm itself if it is an AdmissiblePermutation, else the one over the
-    level mapping perm (DomainError if perm is no such mapping; see the
-    constructor)."""
+    """perm itself if it is an AdmissiblePermutation of table, else the one
+    over the level mapping perm, or over perm's mapping if it belongs to
+    another table (DomainError if perm is no such mapping; see the
+    constructor, which keeps a read-only mapping without a copy)."""
     if isinstance(perm, AdmissiblePermutation):
-        return perm
+        if perm.table is table:
+            return perm
+        perm = perm.mapping
     return AdmissiblePermutation(table, perm)
 
 
@@ -302,10 +306,6 @@ def admissibility_failure(table: ValueTable, perm: PermLike) -> Optional[str]:
                     f"class {iweight(table, ellp)}, expected istep={t}"
                 )
     return mismatch
-
-
-def verify_admissible(table: ValueTable, perm: PermLike) -> bool:
-    return admissibility_failure(table, perm) is None
 
 
 def count_admissible(table: ValueTable) -> int:

@@ -25,7 +25,8 @@ refuses a malformed one.  The conversions below only check: the
 invariants hold iff the mapping is admissible (a row sums to IS*_n(ell)
 iff its class is istep(ell), and admissibility includes the bijection,
 which implies the marginals).  Each takes an AdmissiblePermutation or
-any level mapping, coerced by permutations.as_permutation, so an input
+any level mapping, coerced by permutations.as_permutation (a permutation
+of another table is re-wrapped for this one), so an input
 that is no mapping of ints in [0, 2^32), or a table wider than
 EXPLICIT_WIDTH_LIMIT, is refused with DomainError rather than given a
 reason.
@@ -78,10 +79,6 @@ def representation_failure(
     could never fail.
     """
     return admissibility_failure(table, rep)
-
-
-def verify_representation(table: ValueTable, rep: PermLike) -> bool:
-    return representation_failure(table, rep) is None
 
 
 # -- normal comparison demo --------------------------------------------------

@@ -4,7 +4,9 @@ Golden outputs are asserted byte-for-byte where determinism is part of
 the contract (everything except bench wall times).
 """
 
+import ast
 import hashlib
+import io
 import json
 import math
 import sys
@@ -28,6 +30,7 @@ from quantperm import (
     iweight,
     load_model,
 )
+from quantperm.bench import CheckResult
 from quantperm.permutations import admissibility_failure
 
 
@@ -266,6 +269,56 @@ def test_model_and_perm_files_return_or_raise_domain_error(model, perm):
                 load_model(str(model_path))
             with suppress(DomainError):
                 admissibility_failure(table, cli._load_perm_file(str(perm_path), table))
+
+
+def test_model_needs_a_model_file_or_a_builtin(capsys):
+    code, out, err = run(capsys, "model")
+    assert code == 1 and out == ""
+    assert err == "error: model: need --model FILE or --builtin NAME\n"
+
+
+def test_bench_n_list_must_be_integers(capsys):
+    code, out, err = run(capsys, "bench", "--model", "builtin:A", "--n-list", "4,x")
+    assert code == 1 and out == ""
+    assert err == "error: --n-list must be comma-separated integers, got '4,x'\n"
+
+
+def test_selftest_exits_1_with_a_fail_row(capsys, monkeypatch):
+    def failing(table, seed=0):
+        return [CheckResult("forced", table.n, 1, False, "broken on purpose")]
+
+    monkeypatch.setattr("quantperm.bench.table_checks", failing)
+    code, out, err = run(capsys, "selftest", "--model", "builtin:A", "--n-max", "2")
+    assert code == 1 and err == ""
+    assert out == "forced,1,1,FAIL\nforced,2,1,FAIL\n"
+
+
+def test_broken_pipe_exits_0(monkeypatch):
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["count", "--model", "builtin:A", "--n", "2"]) == 0
+
+
+def test_only_main_loads_models_and_reads_the_format():
+    # main loads every model, builds every table and prints in the chosen
+    # format; no subcommand body or helper does any of these
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    in_main = set(map(id, ast.walk(main)))
+    loaders = {"builtin_model", "load_model", "build_value_table"}
+    stray = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in in_main
+        and (
+            (isinstance(node, ast.Attribute) and node.attr == "format")
+            or (isinstance(node, ast.Name) and node.id in loaders)
+        )
+    ]
+    assert stray == []
 
 
 def test_usage_errors_exit_2(capsys):

@@ -90,7 +90,7 @@ def test_iweight_istep_examples(tables):
 
 @pytest.mark.parametrize("name, n", [("A", 64), ("B", 32), ("C", 12)])
 def test_iweight_is_the_class_of_the_decoded_sum(tables, name, n):
-    # C is irrational, so its lattice codes pack a pair (span > 1)
+    # C is irrational, so its lattice codes carry a nonzero radical part
     table = tables(name, n)
     model = table.model
     rng = random.Random(n)

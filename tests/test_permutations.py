@@ -30,7 +30,6 @@ from quantperm import (
     load_model,
     make_admissible,
     random_admissible,
-    verify_admissible,
 )
 from quantperm.indexing import EXPLICIT_WIDTH_LIMIT
 from quantperm.permutations import _canonical_inverse, admissibility_failure, blocks_of
@@ -38,7 +37,6 @@ from quantperm.representation import (
     perm_from_representation,
     representation_failure,
     representation_from_perm,
-    verify_representation,
 )
 
 F2_A = [3, 1, 2, 0]
@@ -66,7 +64,7 @@ def test_f_lazy_matches_explicit(tables):
         assert [f_perm(table, ell) for ell in range(table.num_indices)] == list(
             perm.mapping
         )
-        assert verify_admissible(table, perm)
+        assert admissibility_failure(table, perm) is None
 
 
 def test_f_admissible_and_invertible(tables):
@@ -122,7 +120,7 @@ def test_make_admissible_swap_block(tables):
     want = list(F2_B)
     want[1], want[2] = 14, 11
     assert list(perm.mapping) == want
-    assert verify_admissible(table, perm)
+    assert admissibility_failure(table, perm) is None
 
 
 def test_make_admissible_validation(tables):
@@ -159,14 +157,13 @@ def test_blocks_round_trip(tables):
 
 def test_verify_rejects_bad_permutations(tables):
     ta1 = tables("A", 1)
-    assert verify_admissible(ta1, [1, 0])
-    assert not verify_admissible(ta1, [0, 1])  # identity mixes classes
+    assert admissibility_failure(ta1, [1, 0]) is None
+    assert admissibility_failure(ta1, [0, 1]) is not None  # identity mixes classes
     table = tables("B", 2)
     good = list(F2_B)
-    assert verify_admissible(table, good)
+    assert admissibility_failure(table, good) is None
     bad = list(F2_B)
     bad[0], bad[1] = bad[1], bad[0]  # cross-class swap
-    assert not verify_admissible(table, bad)
     assert "class mismatch" in admissibility_failure(table, bad)
     assert "bijection" in admissibility_failure(table, [0] * 16)
     assert "expected" in admissibility_failure(table, [0, 1])
@@ -208,7 +205,7 @@ def test_random_admissible_deterministic(tables):
     p1 = random_admissible(table, 42)
     p2 = random_admissible(table, 42)
     assert p1.mapping == p2.mapping
-    assert verify_admissible(table, p1)
+    assert admissibility_failure(table, p1) is None
     assert any(
         random_admissible(table, seed).mapping != p1.mapping for seed in range(5)
     )
@@ -236,7 +233,7 @@ def test_explicit_layer_keeps_only_the_mapping(model_b):
     # lists or step classes are cached, and no permutation stores its ranks
     table = build_value_table(model_b, 3)
     canon = canonical_permutation(table)
-    assert verify_admissible(table, canon)
+    assert admissibility_failure(table, canon) is None
     rand = random_admissible(table, 3)
     back = perm_from_representation(table, representation_from_perm(table, rand))
     assert back == rand
@@ -261,7 +258,7 @@ def test_random_admissible_uniform_on_a2(tables):
     trials = 10_000
     for seed in range(trials):
         perm = random_admissible(table, seed)
-        assert verify_admissible(table, perm)
+        assert admissibility_failure(table, perm) is None
         if perm.block_perms[1] == (2, 1):
             swapped += 1
     assert abs(swapped / trials - 0.5) < 0.05
@@ -298,12 +295,10 @@ def test_bytes_are_a_mapping_of_their_elements(tables):
     "check",
     [
         admissibility_failure,
-        verify_admissible,
         blocks_of,
         representation_from_perm,
         perm_from_representation,
         representation_failure,
-        verify_representation,
     ],
     ids=lambda f: f.__name__,
 )
@@ -323,6 +318,18 @@ def test_every_permutation_taker_refuses_a_non_mapping(tables, check, name, n, m
     # AdmissiblePermutation first, whose constructor refuses these
     with pytest.raises(DomainError):
         check(tables(name, n), mapping)
+
+
+def test_a_permutation_of_another_table_is_rewrapped(tables):
+    # a permutation is checked and returned as one of the table it is
+    # given with, whatever table it was built on
+    with pytest.raises(DomainError):  # width 64, past EXPLICIT_WIDTH_LIMIT
+        admissibility_failure(tables("B", 32), canonical_permutation(tables("A", 2)))
+    b1 = tables("B", 1)
+    foreign = AdmissiblePermutation(tables("A", 2), canonical_permutation(b1).mapping)
+    rep = representation_from_perm(b1, foreign)
+    assert rep.table is b1
+    assert rep.rows == ((1,), (2,), (3,), (4,))
 
 
 def test_canonical_mapping_is_one_read_only_array():

@@ -26,7 +26,6 @@ from quantperm import (
     perm_from_representation,
     random_admissible,
     representation_from_perm,
-    verify_representation,
 )
 from quantperm.representation import representation_failure
 
@@ -47,7 +46,7 @@ def test_invariants_hold_for_f(tables):
     for name, n in (("A", 4), ("B", 2), ("C", 2), ("B", 3)):
         table = tables(name, n)
         rep = representation_from_perm(table, canonical_permutation(table))
-        assert verify_representation(table, rep)
+        assert representation_failure(table, rep) is None
 
 
 def test_row_sums_exactly(tables):
@@ -79,7 +78,7 @@ def test_invariants_hold_for_random_perms(tables):
         for seed in range(5):
             perm = random_admissible(table, seed)
             rep = representation_from_perm(table, perm)
-            assert verify_representation(table, rep)
+            assert representation_failure(table, rep) is None
 
 
 def test_round_trip_both_directions(tables):
@@ -117,7 +116,7 @@ def test_failure_reasons(tables):
     bad = AdmissiblePermutation.from_rows(table, rows)
     reason = representation_failure(table, bad)
     assert reason is not None and "row sum" in reason
-    assert not verify_representation(table, bad)
+    assert representation_failure(table, bad) is not None
     short = AdmissiblePermutation.from_rows(table, rows[:2])
     assert "expected" in representation_failure(table, short)
     with pytest.raises(DomainError, match="out of range"):
