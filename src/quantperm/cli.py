@@ -43,6 +43,7 @@ from .outcomes import (
     builtin_model,
     load_model,
     model_to_json,
+    outcome_rows,
     save_model,
     theta_squared,
 )
@@ -131,7 +132,6 @@ def _perm(args, table: ValueTable) -> AdmissiblePermutation:
 def _cmd_model(args, model: OutcomeModel) -> Output:
     if args.out:
         _write("model", args.out, partial(save_model, model))
-    outcomes = range(1, model.m + 1)
 
     def doc():
         doc = model_to_json(model)
@@ -140,10 +140,7 @@ def _cmd_model(args, model: OutcomeModel) -> Output:
         doc["variance"] = model.variance.text()
         if model.haar is not None:
             doc["theta_squared"] = theta_squared(model.haar).text()
-            doc["outcomes"] = [
-                {"pattern": list(model.pattern_of(s)), "value": model.outcome(s).text()}
-                for s in outcomes
-            ]
+            doc["outcomes"] = outcome_rows(model)
         return doc
 
     return Output(doc, lambda: [
@@ -155,7 +152,7 @@ def _cmd_model(args, model: OutcomeModel) -> Output:
         f"variance,{model.variance.text()}",
     ] + [
         f"outcome,{s},{''.join(map(str, model.pattern_of(s)))},{model.outcome(s).text()}"
-        for s in outcomes
+        for s in range(1, model.m + 1)
     ])
 
 

@@ -19,8 +19,10 @@ max(Jbar_i) < min(Jbar_{i+1}), so the union Jbar^n = Jbar_1 u ... u Jbar_n
 is an increasing run of n(M+1) coordinates.  A point of (0,1) enters
 through its binary digits: the digits at Jbar_i form the pattern of the
 i-th summand, and the digits at Jbar^n, read in increasing coordinate
-order, spell the level index ell.  For M = 0 the layout degenerates to
-Jbar_i = {i(i+1)/2}, the triangular numbers.
+order, spell the level index ell.  eval_partial_sum reads that level
+and decodes it (indexing.decode_weight_index), so a point reaches its
+outcomes only through the level codec.  For M = 0 the layout
+degenerates to Jbar_i = {i(i+1)/2}, the triangular numbers.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Sequence, Tuple
 
 from .errors import DomainError
 from .exactnum import ExactScalar
+from .indexing import decode_weight_index
 from .outcomes import OutcomeModel
 
 
@@ -150,15 +153,10 @@ def weight_index_of_bits(layout: LayoutModel, x: BitString, n: int) -> int:
 def eval_partial_sum(
     model: OutcomeModel, layout: LayoutModel, x: BitString, n: int
 ) -> ExactScalar:
-    """Sum of the n outcomes whose patterns are the digits of x at each Jbar_i."""
+    """Sum of the n outcomes of the level that x spells at Jbar^n."""
     if layout.M != model.M:
         raise DomainError(
             f"layout depth M={layout.M} does not match model M={model.M}"
         )
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    total = model.zero()
-    for i in range(1, n + 1):
-        pattern = tuple(x.bit(j) for j in layout.jbar_set(i))
-        total = total + model.outcome(model.outcome_index(pattern))
-    return total
+    ell = weight_index_of_bits(layout, x, n)  # checks n
+    return sum(map(model.outcome, decode_weight_index(model, n, ell)), model.zero())

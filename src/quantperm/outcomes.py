@@ -19,9 +19,11 @@ unless M = 0.  theta_squared(spec) = sum of c_{k,j}^2 equals the variance
 of every Haar model exactly (the mean is always 0 because the level-M
 terms cancel in sibling pairs).
 
-Within a model, patterns also serve as the binary chunks of level
-indices: the integer value of a pattern reads its bits most significant
-first, so chunk_of(s) = sum eps_i * 2^(M+1-i).
+A model stores each pattern once, as its chunk int: its bits read most
+significant first, chunk = sum eps_i * 2^(M+1-i), the chunk it forms in
+a level index.  So j(eps, k) is the chunk's top k bits, chunk >> (M+1-k).
+_chunk_of is the one check and conversion of a caller's pattern (M+1
+ints in {0, 1}, booleans refused), and _bits the one way back.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class HaarSpec:
     coeffs: Mapping[Tuple[int, int], ExactScalar]
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or self.M < 0:
+        if type(self.M) is not int or self.M < 0:  # bool is an int subclass
             raise DomainError(f"truncation depth must be an integer >= 0, got {self.M!r}")
         # count first, without forming 2^(M+1): the key set below has
         # 2^(M+1) - 1 entries, and M comes from outside the program
@@ -83,36 +85,44 @@ class HaarSpec:
 
 def theta_squared(spec: HaarSpec) -> ExactScalar:
     """Sum of squared coefficients; equals the model variance exactly."""
+    return sum((c * c for c in spec.coeffs.values()), ExactScalar(0, 0, 2))
+
+
+def _bits(M: int, chunk: int) -> Pattern:
+    """The M+1 bits of a chunk int, most significant first."""
+    return tuple((chunk >> (M - i)) & 1 for i in range(M + 1))
+
+
+def _chunk_of(M: int, pattern: Iterable[int]) -> int:
+    """The chunk int of a pattern of M+1 ints in {0, 1}; DomainError for
+    anything else, booleans and non-iterables included."""
+    try:
+        bits = tuple(pattern)
+        ok = len(bits) == M + 1 and all(type(b) is int and b in (0, 1) for b in bits)
+    except TypeError:
+        bits, ok = pattern, False
+    if not ok:
+        raise DomainError(f"pattern {bits!r} is not a length-{M + 1} bit tuple")
+    return sum(b << (M - i) for i, b in enumerate(bits))
+
+
+def _haar_value(spec: HaarSpec, chunk: int) -> ExactScalar:
+    """The truncated expansion at the pattern of chunk: level k reads the
+    coefficient at the chunk's top k bits and the sign of bit k+1."""
     total = ExactScalar(0, 0, 2)
-    for c in spec.coeffs.values():
-        total = total + c * c
+    for k in range(spec.M + 1):
+        term = spec.coefficient(k, chunk >> (spec.M + 1 - k)) * (2 ** (k // 2))
+        if k % 2 == 1:
+            term = term * _SQRT2
+        if (chunk >> (spec.M - k)) & 1:
+            term = -term
+        total = total + term
     return total
-
-
-def haar_level_index(pattern: Sequence[int], k: int) -> int:
-    """j(eps, k) = sum_{i=1..k} eps_i * 2^(k-i); the coefficient offset at level k."""
-    j = 0
-    for i in range(k):
-        j = (j << 1) | pattern[i]
-    return j
 
 
 def haar_outcome(spec: HaarSpec, pattern: Sequence[int]) -> ExactScalar:
     """Evaluate the truncated expansion at the point encoded by the pattern."""
-    if len(pattern) != spec.M + 1:
-        raise DomainError(
-            f"pattern length {len(pattern)} != M+1 = {spec.M + 1}"
-        )
-    total = ExactScalar(0, 0, 2)
-    for k in range(spec.M + 1):
-        c = spec.coefficient(k, haar_level_index(pattern, k))
-        term = c * (2 ** (k // 2))
-        if k % 2 == 1:
-            term = term * _SQRT2
-        if pattern[k] == 1:
-            term = -term
-        total = total + term
-    return total
+    return _haar_value(spec, _chunk_of(spec.M, pattern))
 
 
 class OutcomeModel:
@@ -122,7 +132,7 @@ class OutcomeModel:
         self,
         M: int,
         outcomes: Sequence[ExactScalar],
-        patterns: Sequence[Pattern],
+        chunks: Sequence[int],
         strict: bool,
         d: int,
         haar: Optional[HaarSpec] = None,
@@ -133,23 +143,14 @@ class OutcomeModel:
         self.strict = strict
         self.haar = haar
         self.outcomes = tuple(outcomes)
-        self.patterns = tuple(tuple(p) for p in patterns)
-        self._index_of_pattern = {p: s + 1 for s, p in enumerate(self.patterns)}
-        # chunk value of a pattern: bits most significant first
-        self._chunk_of_index = tuple(
-            _pattern_int(p) for p in self.patterns
+        # the one stored form of each outcome's bits: its chunk int
+        self._chunk_of_index = tuple(chunks)
+        self._index_of_chunk = tuple(  # the ranks in the order of their chunks
+            sorted(range(1, self.m + 1), key=lambda s: self._chunk_of_index[s - 1])
         )
-        self._index_of_chunk = [0] * self.m
-        for s1, c in enumerate(self._chunk_of_index):
-            self._index_of_chunk[c] = s1 + 1
-        self._index_of_chunk = tuple(self._index_of_chunk)
-        total = ExactScalar(0, 0, d)
-        total_sq = ExactScalar(0, 0, d)
-        for o in self.outcomes:
-            total = total + o
-            total_sq = total_sq + o * o
         inv_m = Fraction(1, self.m)
-        self.mean = total * inv_m
+        self.mean = sum(self.outcomes, self.zero()) * inv_m
+        total_sq = sum((o * o for o in self.outcomes), self.zero())
         self.variance = total_sq * inv_m - self.mean * self.mean
 
     # -- accessors (1-based outcome ranks) --------------------------------
@@ -159,15 +160,10 @@ class OutcomeModel:
         return self.outcomes[s - 1]
 
     def pattern_of(self, s: int) -> Pattern:
-        self._check_rank(s)
-        return self.patterns[s - 1]
+        return _bits(self.M, self.chunk_of_index(s))
 
     def outcome_index(self, pattern: Sequence[int]) -> int:
-        key = tuple(pattern)
-        try:
-            return self._index_of_pattern[key]
-        except KeyError:
-            raise DomainError(f"unknown pattern {key!r}") from None
+        return self._index_of_chunk[_chunk_of(self.M, pattern)]
 
     def index_of_chunk(self, chunk: int) -> int:
         """Outcome rank whose pattern has integer value chunk (MSB first)."""
@@ -194,36 +190,13 @@ class OutcomeModel:
         )
 
 
-def _pattern_int(pattern: Pattern) -> int:
-    v = 0
-    for bit in pattern:
-        v = (v << 1) | bit
-    return v
-
-
-def _validate_patterns(M: int, patterns: Sequence[Pattern]):
-    # count without forming 2^(M+1), as HaarSpec does: M comes from outside
-    size = len(patterns)
-    if size.bit_length() != M + 2 or size & (size - 1):
-        raise DomainError(f"expected 2^{M + 1} patterns for M={M}, got {size}")
-    seen = set()
-    for p in patterns:
-        if len(p) != M + 1 or any(not isinstance(b, int) or b not in (0, 1) for b in p):
-            raise DomainError(f"pattern {p!r} is not a length-{M + 1} bit tuple")
-        if p in seen:
-            raise DomainError(f"duplicate pattern {p!r}")
-        seen.add(p)
-
-
 def _sorted_model(
     M: int,
-    pairs: Sequence[Tuple[Pattern, ExactScalar]],
+    chunks: Sequence[int],
+    values: Sequence[ExactScalar],
     strict: bool,
     haar: Optional[HaarSpec],
 ) -> OutcomeModel:
-    patterns = [tuple(p) for p, _ in pairs]
-    _validate_patterns(M, patterns)
-    values = [v for _, v in pairs]
     ds = {v.d for v in values if v.b != 0}
     if len(ds) > 1:
         raise DomainError(f"outcome values mix radicands {sorted(ds)}")
@@ -234,10 +207,11 @@ def _sorted_model(
         if values[prev] == values[cur]:
             raise DomainError(
                 f"outcome values are not distinct: patterns "
-                f"{patterns[prev]!r} and {patterns[cur]!r} both give {values[cur].text()}"
+                f"{_bits(M, chunks[prev])!r} and {_bits(M, chunks[cur])!r} "
+                f"both give {values[cur].text()}"
             )
     model = OutcomeModel(
-        M, [values[i] for i in order], [patterns[i] for i in order], strict, d, haar
+        M, [values[i] for i in order], [chunks[i] for i in order], strict, d, haar
     )
     if strict and not (model.mean == 0 and model.variance == 1):
         raise DomainError(
@@ -253,23 +227,34 @@ def build_manual(
     strict: bool = True,
 ) -> OutcomeModel:
     """Build a model from explicit (pattern, value) pairs."""
-    if not isinstance(M, int) or M < 0:
+    if type(M) is not int or M < 0:
         raise DomainError(f"M must be an integer >= 0, got {M!r}")
-    norm = [(tuple(p), v) for p, v in pairs]
-    for _, v in norm:
+    try:
+        pairs = [(p, v) for p, v in pairs]
+    except (TypeError, ValueError):
+        raise DomainError("outcomes must be (pattern, value) pairs") from None
+    for _, v in pairs:
         if not isinstance(v, ExactScalar):
             raise DomainError(f"outcome value {v!r} is not an ExactScalar")
-    return _sorted_model(M, norm, strict, None)
+    # count without forming 2^(M+1), as HaarSpec does: M comes from outside
+    size = len(pairs)
+    if size.bit_length() != M + 2 or size & (size - 1):
+        raise DomainError(f"expected 2^{M + 1} patterns for M={M}, got {size}")
+    chunks, seen = [], set()
+    for p, _ in pairs:
+        chunk = _chunk_of(M, p)
+        if chunk in seen:
+            raise DomainError(f"duplicate pattern {_bits(M, chunk)!r}")
+        seen.add(chunk)
+        chunks.append(chunk)
+    return _sorted_model(M, chunks, [v for _, v in pairs], strict, None)
 
 
 def build_haar(spec: HaarSpec, strict: bool = False) -> OutcomeModel:
     """Build the model whose outcomes are the truncated-expansion values."""
-    m = 2 ** (spec.M + 1)
-    pairs = []
-    for chunk in range(m):
-        pattern = tuple((chunk >> (spec.M - i)) & 1 for i in range(spec.M + 1))
-        pairs.append((pattern, haar_outcome(spec, pattern)))
-    return _sorted_model(spec.M, pairs, strict, spec)
+    chunks = range(2 ** (spec.M + 1))
+    values = [_haar_value(spec, c) for c in chunks]
+    return _sorted_model(spec.M, chunks, values, strict, spec)
 
 
 # -- built-in models -------------------------------------------------------
@@ -299,6 +284,14 @@ def builtin_model(name: str) -> OutcomeModel:
 # -- JSON serialization ----------------------------------------------------
 
 
+def outcome_rows(model: OutcomeModel) -> list:
+    """Every outcome's pattern and value text, in rank order."""
+    return [
+        {"pattern": list(model.pattern_of(s)), "value": model.outcome(s).text()}
+        for s in range(1, model.m + 1)
+    ]
+
+
 def model_to_json(model: OutcomeModel) -> dict:
     doc = {"M": model.M, "d": model.d, "strict": model.strict}
     if model.haar is not None:
@@ -310,10 +303,7 @@ def model_to_json(model: OutcomeModel) -> dict:
             ]
         }
     else:
-        doc["outcomes"] = [
-            {"pattern": list(model.pattern_of(s)), "value": model.outcome(s).text()}
-            for s in range(1, model.m + 1)
-        ]
+        doc["outcomes"] = outcome_rows(model)
     return doc
 
 
@@ -324,13 +314,13 @@ def model_from_json(doc) -> OutcomeModel:
         if field not in doc:
             raise DomainError(f"model document missing field {field!r}")
     M = doc["M"]
-    if not isinstance(M, int) or M < 0:
+    if type(M) is not int or M < 0:  # JSON true is not 1
         raise DomainError(f"field 'M' must be an integer >= 0, got {M!r}")
     strict = doc["strict"]
     if not isinstance(strict, bool):
         raise DomainError(f"field 'strict' must be a boolean, got {strict!r}")
     d = doc.get("d", 1)
-    if not isinstance(d, int):
+    if type(d) is not int:
         raise DomainError(f"field 'd' must be an integer, got {d!r}")
     if ("outcomes" in doc) == ("haar" in doc):
         raise DomainError("model document needs exactly one of 'outcomes' or 'haar'")
@@ -343,7 +333,7 @@ def model_from_json(doc) -> OutcomeModel:
             if not (isinstance(row, list) and len(row) == 3):
                 raise DomainError(f"haar.coeffs[{idx}] must be [k, j, value-text]")
             k, j, text = row
-            if not (isinstance(k, int) and isinstance(j, int)):
+            if not (type(k) is int and type(j) is int):
                 raise DomainError(f"haar.coeffs[{idx}]: k and j must be integers")
             try:
                 value = parse_scalar(text)
@@ -369,7 +359,7 @@ def model_from_json(doc) -> OutcomeModel:
                 raise DomainError(f"outcomes[{idx}].value: {e}") from None
             if not isinstance(row["pattern"], list):
                 raise DomainError(f"outcomes[{idx}].pattern must be a list of bits")
-            pairs.append((tuple(row["pattern"]), value))
+            pairs.append((row["pattern"], value))
         model = build_manual(M, pairs, strict=strict)
     if model.d > 1 and d != model.d:
         raise DomainError(

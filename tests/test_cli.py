@@ -168,6 +168,11 @@ MANUAL_A = {
     "strict": True,
     "outcomes": [{"pattern": [1], "value": "-1"}, {"pattern": [0], "value": "1"}],
 }
+HAAR_B = {
+    "M": 1,
+    "strict": False,
+    "haar": {"coeffs": [[0, 0, "2"], [1, 0, "1/2 * sqrt(2)"], [1, 1, "1/2 * sqrt(2)"]]},
+}
 BAD_INPUTS = {
     "model-not-utf8": ("model", b'{"M": 0, "strict": true, "outcomes": "\xff"}'),
     "perm-not-utf8": ("perm", b"0,3\n1,1\n2,2\n3,\xff\n"),
@@ -177,6 +182,27 @@ BAD_INPUTS = {
         json.dumps(dict(MANUAL_A, outcomes=[{"pattern": 5, "value": "1"}] * 2)).encode(),
     ),
     "manual-M-huge": ("model", json.dumps(dict(MANUAL_A, M=1_000_000)).encode()),
+    # JSON booleans are not integers, though Python's bool is an int
+    "M-bool": ("model", json.dumps(dict(HAAR_B, M=True)).encode()),
+    "d-bool": ("model", json.dumps(dict(MANUAL_A, d=False)).encode()),
+    "pattern-bool": (
+        "model",
+        json.dumps(
+            dict(
+                MANUAL_A,
+                outcomes=[{"pattern": [True], "value": "-1"}, {"pattern": [False], "value": "1"}],
+            )
+        ).encode(),
+    ),
+    "haar-key-bool": (
+        "model",
+        json.dumps(
+            dict(
+                HAAR_B,
+                haar={"coeffs": [[0, 0, "2"], [True, 0, "1/2 * sqrt(2)"], [1, 1, "1/2 * sqrt(2)"]]},
+            )
+        ).encode(),
+    ),
 }
 
 

@@ -7,6 +7,10 @@ the functions it wraps in strings).  Dunder methods are called by the
 interpreter and are exempt.  A name a module of the package or of
 tests/ imports counts as used when that module reads it as a name; the
 package's __init__.py is exempt, as its imports are re-exports.
+
+A module-level function or class must also have a reader beyond its
+unit tests: the package exports it, src/ or perfbench/ reads it, or the
+acceptance tests do.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ def _definitions():
                 stack.extend((child, qual + ".") for child in node.body)
 
 
-def _references():
+def _references(trees):
     names = set()
-    for _, tree in _trees("src", "tests", "perfbench"):
+    for _, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -51,7 +55,7 @@ def _references():
 
 
 def test_every_definition_is_referenced():
-    used = _references()
+    used = _references(_trees("src", "tests", "perfbench"))
     dead = [
         where
         for where, name in _definitions()
@@ -75,3 +79,21 @@ def test_every_import_is_read():
                     if name not in read:
                         unread.append(f"{path.name}:{node.lineno} {name}")
     assert unread == []
+
+
+def test_every_module_level_definition_is_read_beyond_its_unit_tests():
+    init = ROOT / "src/quantperm/__init__.py"
+    exported = _references([(init, ast.parse(init.read_text(encoding="utf-8")))])
+    acceptance = ROOT / "tests/test_acceptance.py"
+    read = _references(
+        [(path, tree) for path, tree in _trees("src", "perfbench") if path != init]
+        + [(acceptance, ast.parse(acceptance.read_text(encoding="utf-8")))]
+    )
+    test_only = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in _trees("src/quantperm")
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in exported | read
+    ]
+    assert test_only == []

@@ -19,7 +19,10 @@ from quantperm import (
     save_model,
     theta_squared,
 )
-from quantperm.outcomes import haar_level_index
+
+
+def _patterns(model):
+    return [model.pattern_of(s) for s in range(1, model.m + 1)]
 
 
 def test_model_a_shape(model_a):
@@ -61,18 +64,11 @@ def test_model_c_irrational_order(model_c):
     assert theta_squared(model_c.haar) == Fraction(49, 36)
 
 
-def test_haar_level_index():
-    assert haar_level_index((1, 0, 1), 0) == 0
-    assert haar_level_index((1, 0, 1), 1) == 1
-    assert haar_level_index((1, 0, 1), 2) == 2
-    assert haar_level_index((1, 1, 1), 2) == 3
-
-
 def test_haar_m0_is_sign_model(model_a):
     spec = HaarSpec(0, {(0, 0): ExactScalar(1)})
     model = build_haar(spec, strict=True)
     assert [o.text() for o in model.outcomes] == ["-1", "1"]
-    assert model.patterns == model_a.patterns
+    assert _patterns(model) == _patterns(model_a)
     assert theta_squared(spec) == 1
 
 
@@ -120,6 +116,34 @@ def test_manual_validation():
         build_manual(0, [((0,), ExactScalar(2)), ((1,), ExactScalar(-2))], strict=True)
 
 
+ONE = ExactScalar(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model: build_manual(0, None),
+        lambda model: build_manual(0, [(None, ONE), ((1,), -ONE)]),
+        lambda model: build_manual(0, [(5, ONE), ((1,), -ONE)]),
+        lambda model: build_manual(0, [((0,),), ((1,), -ONE)]),
+        lambda model: build_manual(0, [((0,), ONE, ONE), ((1,), -ONE)]),
+        lambda model: build_manual(0, [((False,), ONE), ((True,), -ONE)]),
+        lambda model: model.outcome_index(None),
+        lambda model: model.outcome_index(5),
+        lambda model: model.outcome_index((True,)),
+    ],
+    ids=[
+        "manual-none", "pattern-none", "pattern-int", "pair-short", "pair-long",
+        "pattern-bool", "index-none", "index-int", "index-bool",
+    ],
+)
+def test_every_pattern_taker_refuses_a_non_pattern(model_a, call):
+    # patterns reach a model only through one checked conversion to
+    # their chunk int, which refuses these
+    with pytest.raises(DomainError):
+        call(model_a)
+
+
 def test_chunk_lookup_round_trip(model_b):
     for s in range(1, model_b.m + 1):
         chunk = model_b.chunk_of_index(s)
@@ -139,7 +163,7 @@ def test_positive_scaling_preserves_order(model_c):
             ],
             strict=False,
         )
-        assert scaled.patterns == model_c.patterns
+        assert _patterns(scaled) == _patterns(model_c)
         # all pairs stay strictly ordered
         for i in range(scaled.m):
             for j in range(i + 1, scaled.m):
@@ -150,7 +174,7 @@ def test_json_round_trip(model_a, model_b, model_c, tmp_path):
     for model in (model_a, model_b, model_c):
         doc = model_to_json(model)
         back = model_from_json(json.loads(json.dumps(doc)))
-        assert back.patterns == model.patterns
+        assert _patterns(back) == _patterns(model)
         assert back.outcomes == model.outcomes
         assert back.strict == model.strict
         path = tmp_path / "m.json"
