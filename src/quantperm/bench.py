@@ -2,11 +2,12 @@
 
 bench_scaling measures how many tau1 queries one lazy F-evaluation
 costs as n grows: for each n it evaluates f_perm at seeded random
-levels, reads the deterministic query counters, and fits a straight
-line to (log n, log mean-queries).  Bounded slope is the whole point:
-the walk is polynomial in n relative to tau1 while the brute-force
-alternative (decoding all 2^(n(M+1)) levels) is recorded for contrast
-and only executed at widths where that is still sane.
+levels, each from chunk 1 (no sample resumes from the checkpoint path
+of an earlier one), reads the deterministic query counters, and fits a
+straight line to (log n, log mean-queries).  Bounded slope is the
+whole point: the walk is polynomial in n relative to tau1 while the
+brute-force alternative (decoding all 2^(n(M+1)) levels) is recorded
+for contrast and only executed at widths where that is still sane.
 
 selftest replays the module invariants exhaustively up to a given
 n_max: class counts, table monotonicity, the alpha/beta/gamma
@@ -29,9 +30,11 @@ from typing import List, Tuple
 from .errors import DomainError
 from .indexing import (
     EXPLICIT_WIDTH_LIMIT,
+    _forget_path,
     alpha,
     beta_fast,
     beta_fast_trace,
+    istep,
     weight_classes,
 )
 from .multinomial import ValueTable, build_value_table
@@ -80,10 +83,10 @@ def bench_scaling(
 ) -> BenchResult:
     """Measure f_perm query growth over n_list; fit the log-log slope."""
     if not isinstance(n_list, Sequence) or not n_list or any(
-        not isinstance(n, int) or n < 1 for n in n_list
+        type(n) is not int or n < 1 for n in n_list
     ):
         raise DomainError(f"n_list must be non-empty positive integers, got {n_list!r}")
-    if not isinstance(samples_per_n, int) or samples_per_n < 1:
+    if type(samples_per_n) is not int or samples_per_n < 1:
         raise DomainError(f"samples_per_n must be an integer >= 1, got {samples_per_n!r}")
     rng = random.Random(seed)
     records: List[BenchRecord] = []
@@ -93,6 +96,7 @@ def bench_scaling(
         total_queries = 0
         for _ in range(samples_per_n):
             ell = rng.randrange(table.num_indices)
+            _forget_path(table, istep(table, ell))  # each sample walks from chunk 1
             before = table.stats.snapshot()
             t0 = time.perf_counter()
             f_perm(table, ell)
@@ -237,7 +241,7 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
 
 def selftest(model: OutcomeModel, n_max: int, seed: int = 0) -> SelfTestReport:
     """Run every invariant suite exhaustively for n = 1..n_max."""
-    if not isinstance(n_max, int) or n_max < 1:
+    if type(n_max) is not int or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     if n_max * (model.M + 1) > EXPLICIT_WIDTH_LIMIT:
         raise DomainError(

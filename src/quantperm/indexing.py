@@ -41,14 +41,16 @@ enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
 over K_n (|K_n| counted queries) and then only counts, so the query
 total is polynomial in n for fixed M.
 
-Every walk but beta_fast_trace also keeps one checkpoint per class in
-the table's cache: its state on entering the last chunk, or where the
-class ran out.  A later rank of the same class whose top chunks match
-starts from there, so ranks of neighbouring levels (an exhaustive
-sweep, gamma_relation after inv_f, or inv_f after f_perm) count only
-what differs.  It still pays its bulk tau1 scan; table.stats.bigint_ops
-counts only the arithmetic it does.  Unranking and beta_fast_trace
-always walk from chunk 1.
+Every walk but beta_fast_trace also keeps a checkpoint path per class
+in the table's cache: its state on entering each of the last few
+chunks (about log_m n of them), or where the class ran out.  A later
+rank or unrank of the same class resumes from the deepest state whose
+prefix (for a rank) or block of ranks (for an unrank) covers it, so the
+walks of neighbouring levels or ranks (an exhaustive sweep, f_perm over
+consecutive levels, gamma_relation after inv_f, or inv_f after f_perm)
+count only what differs.  A resumed walk still pays its bulk tau1 scan;
+table.stats.bigint_ops counts only the arithmetic it does.
+beta_fast_trace always walks from chunk 1.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _require_explicit(width: int, what: str = "explicit permutation tables"):
 
 
 def _check_level(table: ValueTable, ell: int, name: str = "level index"):
-    if not isinstance(ell, int) or not 0 <= ell < table.num_indices:
+    if type(ell) is not int or not 0 <= ell < table.num_indices:
         raise DomainError(
             f"{name} {ell!r} out of range [0, {table.num_indices})"
         )
@@ -85,10 +87,10 @@ def _check_level(table: ValueTable, ell: int, name: str = "level index"):
 
 def decode_weight_index(model: OutcomeModel, n: int, ell: int) -> Tuple[int, ...]:
     """Outcome ranks (s_1, ..., s_n) of the n chunks of ell; chunk 1 first."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
     mp1 = model.M + 1
-    if not isinstance(ell, int) or not 0 <= ell < model.m**n:
+    if type(ell) is not int or not 0 <= ell < model.m**n:
         raise DomainError(f"level index {ell!r} out of range [0, {model.m ** n})")
     mask = model.m - 1
     lut = model._index_of_chunk
@@ -137,7 +139,7 @@ def is_star(table: ValueTable, ell: int) -> ExactScalar:
 def tau2(model: OutcomeModel, n: int, s: int, ell: int, b: int) -> int:
     """How many chunks i in (b, n] of ell decode to outcome rank s."""
     svec = decode_weight_index(model, n, ell)  # checks n before b is compared with it
-    if not isinstance(b, int) or not 0 <= b <= n:
+    if type(b) is not int or not 0 <= b <= n:
         raise DomainError(f"chunk bound {b!r} out of range [0, {n}]")
     model._check_rank(s)
     return sum(1 for i in range(b, n) if svec[i] == s)
@@ -205,17 +207,23 @@ def _count_walk(
     Returns (level walked, count): the count is beta(t, level), the
     running count plus 1 if the level lies in class t.
 
-    An untraced walk replaces the class's checkpoint in table._cache,
-    and an untraced rank resumes from it first: the walk's state on
-    entering the last chunk, or where no class-t composition extends the
-    prefix any more.  It holds the depth i, the top i chunks of the
-    level, the count so far, the live (k, q) pairs and used, and a later
-    rank whose xi has the same top i chunks starts from it, so a rank of
-    the level an unrank just returned counts only its last chunk.  On
-    entering the last chunk k - used is a unit vector, so at most m
-    pairs are live: the checkpoints of a table hold O((T+1) m) pairs.
-    Traced walks neither read nor write it.  Every call, resumed or not,
-    makes the one bulk tau1 scan of the class.
+    An untraced walk keeps its checkpoint path in table._cache: its
+    state on entering each of the last D chunks, D being the least d
+    with m^d >= n plus one, or the one state where no class-t
+    composition extends the prefix any more.  A state at depth i holds
+    the block of levels that share its top i chunks, [lo, hi); its
+    block of ranks, (count, count + total], count being the count so
+    far and total the class-t levels in the level block (the sum of
+    the q); i; and the live (k, q) pairs and used.  The states'
+    prefixes extend one another, so their blocks nest, and the first
+    state settles a miss.  Otherwise the walk resumes from the deepest
+    state that covers the call, a rank whose xi lies in its level block
+    or an unrank whose s lies in its rank block.  The resumed walk
+    replaces the states below it, a walk from chunk 1 the whole path.
+    With r chunks left at most C(r + m - 1, m - 1) pairs are live, so a
+    path holds at most C(D + m, m) - 1 pairs, and D grows like log_m n.
+    Traced walks neither read nor write it.  Every call, resumed or
+    not, makes the one bulk tau1 scan of the class.
     """
     model = table.model
     n = table.n
@@ -224,13 +232,20 @@ def _count_walk(
     lut = model._index_of_chunk
     stats = table.stats
     members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
-    save = steps is None
     key = ("rank", t)
-    record = table._cache.get(key) if save and xi is not None else None
-    if record is not None and record[1] == xi >> ((n - record[0]) * mp1):
-        start, ell, count, pairs, used = record
+    path = table._cache.get(key) if steps is None else None
+    # a rank looks up xi in fields 0 and 1 of a state, its level block,
+    # and an unrank s - 1 in fields 2 and 3, its rank block
+    lo, target = (0, xi) if xi is not None else (2, s - 1)
+    if path and path[0][lo] <= target < path[0][lo + 1]:
+        j = len(path) - 1
+        while not path[j][lo] <= target < path[j][lo + 1]:
+            j -= 1
+        del path[j + 1:]
+        ell, _, count, _, start, pairs, used = path[j]
+        ell >>= (n - start) * mp1
         used = list(used)
-        save = False  # the checkpoint already holds this walk's state
+        save_from = start + 1  # the path already holds the state at start
     else:
         # (k, q) for every class-t composition k that extends the chunks
         # fixed so far, whose outcome counts are in used; q is the number
@@ -242,10 +257,18 @@ def _count_walk(
         start, ell, count = 0, 0, 0
         pairs = list(zip(members, table.coefs[t]))
         used = [0] * model.m
+        if steps is None:
+            path = table._cache[key] = []
+        save_from = 0 if steps is None else n
+    kept = -(-(n - 1).bit_length() // mp1) + 1  # D, the least d with m^d >= n, plus one
     for i in range(start, n):
         r = n - i
-        if save and (r == 1 or not pairs):
-            table._cache[key] = (i, ell, count, pairs, tuple(used))
+        if i >= save_from and (r <= kept or not pairs):
+            total = sum([q for _, q in pairs])
+            shift = r * mp1
+            path.append(
+                (ell << shift, (ell + 1) << shift, count, count + total, i, pairs, tuple(used))
+            )
         if not pairs and steps is None:
             # rank walks only (an unrank walk never leaves class t): no
             # class-t level extends this prefix, so the count is final
@@ -271,6 +294,11 @@ def _count_walk(
     return ell, count + len(pairs)
 
 
+def _forget_path(table: ValueTable, t: int):
+    """Drop class t's checkpoint path, so its next walk starts from chunk 1."""
+    table._cache.pop(("rank", t), None)
+
+
 def enum_a(table: ValueTable, t: int, s: int) -> int:
     """s-th smallest element of IA_{n,t}: SMC(t) + s - 1."""
     table._check_class(t)
@@ -291,7 +319,7 @@ def enum_b(table: ValueTable, t: int, s: int) -> int:
 
 
 def _check_s(table: ValueTable, t: int, s: int):
-    if not isinstance(s, int) or not 1 <= s <= table.gammas[t]:
+    if type(s) is not int or not 1 <= s <= table.gammas[t]:
         raise DomainError(
             f"rank {s!r} out of range [1, {table.gammas[t]}] for class {t}"
         )

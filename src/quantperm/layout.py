@@ -40,16 +40,16 @@ class LayoutModel:
     """Row/block/column geometry of the triangular array at depth M."""
 
     def __init__(self, M: int):
-        if not isinstance(M, int) or M < 0:
+        if type(M) is not int or M < 0:
             raise DomainError(f"M must be an integer >= 0, got {M!r}")
         self.M = M
 
     def _check_pos(self, value: int, name: str):
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
     def _check_offset(self, value: int, top: int, name: str):
-        if not isinstance(value, int) or not 1 <= value <= top:
+        if type(value) is not int or not 1 <= value <= top:
             raise DomainError(f"{name} {value!r} out of range [1, {top}]")
 
     def row_block(self, rho: int) -> Tuple[int, int]:
@@ -103,7 +103,7 @@ class LayoutModel:
 
     def jbar_union(self, n: int) -> Tuple[int, ...]:
         """Jbar^n = Jbar_1 u ... u Jbar_n, ascending."""
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise DomainError(f"n must be an integer >= 1, got {n!r}")
         out = []
         for i in range(1, n + 1):
@@ -121,7 +121,7 @@ class BitString:
             bits = tuple(bits)
         except TypeError:
             raise DomainError(f"bits must be a sequence, got {bits!r}") from None
-        if any(not isinstance(b, int) or b not in (0, 1) for b in bits):
+        if any(type(b) is not int or b not in (0, 1) for b in bits):
             raise DomainError("bits must be 0 or 1")
         self.bits = bits
 
@@ -130,7 +130,7 @@ class BitString:
         return len(self.bits)
 
     def bit(self, k: int) -> int:
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise DomainError(f"bit position must be an integer >= 1, got {k!r}")
         if k > len(self.bits):
             raise DomainError(

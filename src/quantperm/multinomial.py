@@ -209,7 +209,7 @@ class ValueTable:
         raise DomainError(f"cdf mode must be 'lt' or 'leq', got {mode!r}")
 
     def _check_class(self, t: int):
-        if not isinstance(t, int) or not 0 <= t <= self.T:
+        if type(t) is not int or not 0 <= t <= self.T:
             raise DomainError(f"class index {t!r} out of range [0, {self.T}]")
 
     def __repr__(self):

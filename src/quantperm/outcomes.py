@@ -167,7 +167,7 @@ class OutcomeModel:
 
     def index_of_chunk(self, chunk: int) -> int:
         """Outcome rank whose pattern has integer value chunk (MSB first)."""
-        if not isinstance(chunk, int) or not 0 <= chunk < self.m:
+        if type(chunk) is not int or not 0 <= chunk < self.m:
             raise DomainError(f"chunk value {chunk!r} out of range [0, {self.m})")
         return self._index_of_chunk[chunk]
 
@@ -179,7 +179,7 @@ class OutcomeModel:
         return ExactScalar(0, 0, self.d)
 
     def _check_rank(self, s: int):
-        if not isinstance(s, int) or not 1 <= s <= self.m:
+        if type(s) is not int or not 1 <= s <= self.m:
             raise DomainError(f"outcome rank {s!r} out of range [1, {self.m}]")
 
     def __repr__(self):

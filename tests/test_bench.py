@@ -95,6 +95,27 @@ def test_selftest_passes():
     assert "haar-moments" in {c.name for c in report_b.results}
 
 
+# bigint_ops of the sweep workload, selftest of B to n_max = 5 and of A to
+# n_max = 10: each walk resumes from its class's checkpoint path, so a
+# lost resumption raises the count
+SWEEP_BIGINT_OPS = 74248
+
+
+def test_sweep_bigint_ops_pinned(monkeypatch):
+    from quantperm import bench
+
+    tables = []
+
+    def build(model, n):
+        tables.append(build_value_table(model, n))
+        return tables[-1]
+
+    monkeypatch.setattr(bench, "build_value_table", build)
+    for name, n_max in (("B", 5), ("A", 10)):
+        assert selftest(builtin_model(name), n_max).ok
+    assert sum(table.stats.bigint_ops for table in tables) == SWEEP_BIGINT_OPS
+
+
 def test_selftest_rejects_oversized_request():
     with pytest.raises(DomainError):
         selftest(builtin_model("B"), 13)

@@ -22,6 +22,7 @@ from quantperm import (
     beta_bruteforce,
     beta_fast,
     beta_fast_trace,
+    bench_scaling,
     build_value_table,
     builtin_model,
     decode_weight_index,
@@ -31,6 +32,7 @@ from quantperm import (
     enumerate_compositions,
     eval_partial_sum,
     f_perm,
+    gamma_relation,
     inv_f,
     is_n,
     is_star,
@@ -39,7 +41,9 @@ from quantperm import (
     multinomial_coefficient,
     ria,
     rib,
+    selftest,
     tau2,
+    weight_index_of_bits,
 )
 from quantperm.indexing import decoded_vectors, step_classes, weight_classes
 from quantperm.multinomial import composition_count
@@ -406,13 +410,52 @@ def test_beta_bruteforce_refused_beyond_explicit_width(tables, time_limit):
         AdmissiblePermutation.from_rows(table, [])
 
 
-# -- the rank walk's per-class checkpoint ------------------------------------
+# each integer check of the package, given True where it wants an int;
+# isinstance(True, int) holds, so these once ran with True read as 1
+BOOL_TAKERS = {
+    "decode-n": (lambda a, ta: decode_weight_index(a, True, 1), "sum length"),
+    "decode-ell": (lambda a, ta: decode_weight_index(a, 1, True), "level index"),
+    "level": (lambda a, ta: iweight(ta, True), "level index"),
+    "tau2-b": (lambda a, ta: tau2(a, 2, 1, 0, True), "chunk bound"),
+    "rank-s": (lambda a, ta: enum_b(ta, 1, True), "rank"),
+    "class": (lambda a, ta: beta_fast(ta, True, 3), "class index"),
+    "gamma-class": (lambda a, ta: ta.gamma(True), "class index"),
+    "outcome-rank": (lambda a, ta: a.outcome(True), "outcome rank"),
+    "chunk": (lambda a, ta: a.index_of_chunk(True), "chunk value"),
+    "layout-M": (lambda a, ta: LayoutModel(True), "M must be"),
+    "layout-row": (lambda a, ta: LayoutModel(1).row_block(True), "row index"),
+    "layout-offset": (lambda a, ta: LayoutModel(1).entry(1, True, 1), "row offset"),
+    "layout-n": (lambda a, ta: LayoutModel(1).jbar_union(True), "n must be"),
+    "layout-bits-n": (
+        lambda a, ta: weight_index_of_bits(LayoutModel(0), BitString([1, 0]), True),
+        "n must be",
+    ),
+    "bits": (lambda a, ta: BitString([True]), "bits must be"),
+    "bit-k": (lambda a, ta: BitString([1]).bit(True), "bit position"),
+    "bench-n-list": (lambda a, ta: bench_scaling(a, "A", [True, 2]), "n_list"),
+    "bench-samples": (
+        lambda a, ta: bench_scaling(a, "A", [1, 2], samples_per_n=True),
+        "samples_per_n",
+    ),
+    "selftest-n-max": (lambda a, ta: selftest(a, True), "n_max"),
+}
+
+
+@pytest.mark.parametrize("case", BOOL_TAKERS)
+def test_every_integer_check_refuses_a_boolean(tables, case):
+    call, match = BOOL_TAKERS[case]
+    with pytest.raises(DomainError, match=match):
+        call(builtin_model("A"), tables("A", 3))
+
+
+# -- the walks' per-class checkpoint path -------------------------------------
 # Tables are built inside these tests: the session fixture's tables are
 # shared, and their checkpoints depend on which walks ran before.
 
 
 def _record(table, t):
-    return table._cache.get(("rank", t))
+    """The deepest state of class t's checkpoint path."""
+    return table._cache[("rank", t)][-1]
 
 
 def test_rank_checkpoint_in_any_order(model_a, model_b, model_c):
@@ -481,7 +524,7 @@ def test_unrank_leaves_the_rank_checkpoint_and_trace_leaves_it_alone():
         # the unrank leaves the state a fresh rank of its level leaves: on
         # entering the last chunk, where at most m compositions are live
         record = _record(table, t)
-        depth, _, _, pairs, _ = record
+        _, _, _, _, depth, pairs, _ = record
         assert depth == table.n - 1 and 1 <= len(pairs) <= table.model.m
         table._cache.pop(("rank", t))
         before = table.stats.snapshot()
@@ -505,6 +548,57 @@ def test_unrank_leaves_the_rank_checkpoint_and_trace_leaves_it_alone():
         assert table.stats.delta(before).bigint_ops == fresh
         assert _record(table, t) is record
     assert costs[0] < costs[1], costs
+
+
+def test_unranks_in_rank_order_resume():
+    # every rank of every class in order: each unrank resumes from the
+    # path the one before left, returns what a walk from chunk 1 returns
+    # at no higher cost, and leaves the path that walk leaves
+    for name, n in (("A", 16), ("B", 8)):
+        table = build_value_table(builtin_model(name), n)
+        stats = table.stats
+        costs = [0, 0]
+        for t in range(table.T + 1):
+            for s in range(1, table.gammas[t] + 1):
+                before = stats.bigint_ops
+                got = enum_b(table, t, s)
+                resumed = stats.bigint_ops - before
+                path = table._cache.pop(("rank", t))
+                before = stats.bigint_ops
+                assert enum_b(table, t, s) == got, (name, t, s)
+                fresh = stats.bigint_ops - before
+                assert resumed <= fresh, (name, t, s)
+                assert table._cache[("rank", t)] == path
+                costs[0] += resumed
+                costs[1] += fresh
+        assert costs[0] < costs[1], (name, costs)
+
+
+def test_checkpoint_paths_stay_bounded():
+    # D is the least d with m^d >= n, plus one.  A class keeps its states
+    # on entering the last D chunks, at increasing depths, or the one
+    # state where the class ran out above them: never more than D + 1
+    table_b = build_value_table(builtin_model("B"), 32)
+    rng = random.Random(32)
+    for _ in range(500):
+        ell = rng.randrange(table_b.num_indices)
+        image = f_perm(table_b, ell)
+        assert inv_f(table_b, image) == ell
+        assert gamma_relation(table_b, ell, image)
+    table_a = build_value_table(builtin_model("A"), 256)
+    for t in range(table_a.T + 1):
+        f_perm(table_a, table_a.smc[t] + rng.randrange(table_a.gammas[t]))
+    for table in (table_b, table_a):
+        m, n = table.model.m, table.n
+        bound = next(d for d in range(n + 1) if m**d >= n) + 1
+        paths = [table._cache.get(("rank", t), []) for t in range(table.T + 1)]
+        assert sum(map(len, paths)) > table.T
+        for path in paths:
+            depths = [state[4] for state in path]
+            assert len(path) <= bound + 1
+            assert depths == sorted(set(depths))
+            ran_out = len(path) == 1 and not path[0][5]
+            assert ran_out or all(i >= n - bound for i in depths), depths
 
 
 # sha256 over (model, n, t, argument, result, tau1 delta, bigint_ops
