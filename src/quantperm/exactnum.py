@@ -57,7 +57,7 @@ class ExactScalar:
             a = Fraction(a)
         if type(b) is not Fraction:
             b = Fraction(b)
-        if not isinstance(d, int) or d > MAX_RADICAND or not _is_square_free(d):
+        if type(d) is not int or d > MAX_RADICAND or not _is_square_free(d):
             raise DomainError(
                 f"radicand must be a square-free integer in [0, {MAX_RADICAND}], got {d!r}"
             )

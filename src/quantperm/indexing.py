@@ -31,11 +31,14 @@ beta_fast ranks xi in the counting loop, and enum_b unranks s in the
 same loop: ranking and unranking multiset permutations are one descent
 run in two directions.  The loop fixes the chunks one at a time, most
 significant first, and carries every class-t composition that still
-extends the fixed prefix together with its number of completions.  At
-each chunk one pass adds the class-t completions of every chunk value
-below the next chunk to one running count: ranking takes that chunk
-from xi, and unranking stops at the value whose completions bring the
-count to s.  So both directions hold the same state at every depth.
+extends the fixed prefix together with its number of completions.
+Ranking takes the next chunk from xi, and one pass adds the class-t
+completions of every chunk value below it to one running count.
+Unranking also carries the size of the prefix's block of class-t ranks.
+It scans the chunk values from the end of that block nearer s, from 0
+up or from m - 1 down, and stops at the value whose share of the block
+holds s; the last value scanned takes what is left.  So both directions
+hold the same state at every depth.
 The class is known only through the tau1 oracle: each beta_fast or
 enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
 over K_n (|K_n| counted queries) and then only counts, so the query
@@ -195,14 +198,20 @@ def _count_walk(
 ) -> Tuple[int, int]:
     """The counting loop over the class-t compositions, chunk by chunk.
 
-    At every chunk one pass runs over the chunk values c below the next
-    chunk cx of the level and adds the class-t completions of each to
-    one running count.  Rank (xi given): cx is xi's chunk, so the count
-    ends as the class-t levels below xi; a dict passed as steps also
-    receives each c's count under the 1-bit zeta of cx where c first
-    differs from it, zeros included once the class has run out.  Unrank
-    (xi None): the pass stops at the first c whose completions bring the
-    count to s or more, and that c becomes cx.
+    Rank (xi given): at every chunk one pass runs over the chunk values
+    c below xi's next chunk cx and adds the class-t completions of each
+    to one running count, so the count ends as the class-t levels below
+    xi; a dict passed as steps also receives each c's count under the
+    1-bit zeta of cx where c first differs from it, zeros included once
+    the class has run out.  Unrank (xi None): s lies in the block of
+    ranks (count, count + total], total being the class-t completions of
+    the prefix.  If s lies in its lower half the pass runs up from c = 0
+    and each c takes the bottom of what is left of the block, else down
+    from m - 1 taking the top; it stops at the c whose completions hold
+    s, and that c becomes cx.  The last c of either direction is not
+    counted, its share being what is left.  The products of the pass
+    that stops, divided by r, are the next pairs' q, and its count the
+    next total.
 
     Returns (level walked, count): the count is beta(t, level), the
     running count plus 1 if the level lies in class t.
@@ -214,11 +223,12 @@ def _count_walk(
     the block of levels that share its top i chunks, [lo, hi); its
     block of ranks, (count, count + total], count being the count so
     far and total the class-t levels in the level block (the sum of
-    the q); i; and the live (k, q) pairs and used.  The states'
-    prefixes extend one another, so their blocks nest, and the first
-    state settles a miss.  Otherwise the walk resumes from the deepest
-    state that covers the call, a rank whose xi lies in its level block
-    or an unrank whose s lies in its rank block.  The resumed walk
+    the q, which an unrank already carries); i; and the live (k, q)
+    pairs and used.  The states' prefixes extend one another, so their
+    blocks nest, and the first state settles a miss.  Otherwise the
+    walk resumes from the deepest state that covers the call, a rank
+    whose xi lies in its level block or an unrank whose s lies in its
+    rank block.  The resumed walk
     replaces the states below it, a walk from chunk 1 the whole path.
     With r chunks left at most C(r + m - 1, m - 1) pairs are live, so a
     path holds at most C(D + m, m) - 1 pairs, and D grows like log_m n.
@@ -242,7 +252,8 @@ def _count_walk(
         while not path[j][lo] <= target < path[j][lo + 1]:
             j -= 1
         del path[j + 1:]
-        ell, _, count, _, start, pairs, used = path[j]
+        ell, _, count, total, start, pairs, used = path[j]
+        total -= count
         ell >>= (n - start) * mp1
         used = list(used)
         save_from = start + 1  # the path already holds the state at start
@@ -254,7 +265,7 @@ def _count_walk(
         # that coefficient by (k[s1] - used[s1]) / r, so the completions
         # with that next chunk are the exact sum of q * (k[s1] - used[s1])
         # over r; every carried k has k >= used.
-        start, ell, count = 0, 0, 0
+        start, ell, count, total = 0, 0, 0, table.gammas[t]
         pairs = list(zip(members, table.coefs[t]))
         used = [0] * model.m
         if steps is None:
@@ -264,7 +275,8 @@ def _count_walk(
     for i in range(start, n):
         r = n - i
         if i >= save_from and (r <= kept or not pairs):
-            total = sum([q for _, q in pairs])
+            if xi is not None:
+                total = sum([q for _, q in pairs])
             shift = r * mp1
             path.append(
                 (ell << shift, (ell + 1) << shift, count, count + total, i, pairs, tuple(used))
@@ -273,22 +285,44 @@ def _count_walk(
             # rank walks only (an unrank walk never leaves class t): no
             # class-t level extends this prefix, so the count is final
             return xi, count
-        cx = (xi >> ((r - 1) * mp1)) & mask if xi is not None else mask + 1
-        for c in range(cx):
-            s1 = lut[c] - 1
+        if xi is None:
+            # scan from the end of (count, count + total] nearer s
+            down = 2 * (s - count) > total
+            order = range(mask, -1, -1) if down else range(mask + 1)
+            for cx in order:
+                s1 = lut[cx] - 1
+                u = used[s1]
+                vals = [q * (k[s1] - u) for k, q in pairs]
+                if cx == order[-1]:
+                    break
+                acc = sum(vals) // r
+                stats.bigint_ops += len(pairs)
+                if down:
+                    if s > count + total - acc:
+                        count += total - acc
+                        total = acc
+                        break
+                elif s <= count + acc:
+                    total = acc
+                    break
+                else:
+                    count += acc
+                total -= acc
+            pairs = [(k, v // r) for (k, _), v in zip(pairs, vals) if v]
+        else:
+            cx = (xi >> ((r - 1) * mp1)) & mask
+            for c in range(cx):
+                s1 = lut[c] - 1
+                u = used[s1]
+                acc = sum([q * (k[s1] - u) for k, q in pairs]) // r
+                stats.bigint_ops += len(pairs)
+                count += acc
+                if steps is not None:
+                    zeta = i * mp1 + mp1 + 1 - (c ^ cx).bit_length()
+                    steps[zeta] = steps.get(zeta, 0) + acc
+            s1 = lut[cx] - 1
             u = used[s1]
-            acc = sum([q * (k[s1] - u) for k, q in pairs]) // r
-            stats.bigint_ops += len(pairs)
-            if xi is None and s <= count + acc:
-                cx = c
-                break
-            count += acc
-            if steps is not None:
-                zeta = i * mp1 + mp1 + 1 - (c ^ cx).bit_length()
-                steps[zeta] = steps.get(zeta, 0) + acc
-        s1 = lut[cx] - 1
-        u = used[s1]
-        pairs = [(k, q * (k[s1] - u) // r) for k, q in pairs if k[s1] > u]
+            pairs = [(k, q * (k[s1] - u) // r) for k, q in pairs if k[s1] > u]
         used[s1] = u + 1
         ell = (ell << mp1) | cx
     return ell, count + len(pairs)

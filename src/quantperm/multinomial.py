@@ -65,9 +65,9 @@ MAX_WIDTH = 1024
 def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
     """n! / (k_1! ... k_m!) for a composition k of n."""
     key = tuple(k)
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise DomainError(f"sum length n must be an integer, got {n!r}")
-    if any(not isinstance(x, int) or x < 0 for x in key):
+    if any(type(x) is not int or x < 0 for x in key):
         raise DomainError(f"composition entries must be integers >= 0, got {key!r}")
     if sum(key) != n:
         raise DomainError(f"composition {key!r} sums to {sum(key)}, expected {n}")
@@ -92,7 +92,7 @@ def composition_count(n: int, m: int) -> int:
 
 
 def _check_parts(n: int, m: int):
-    if not (isinstance(n, int) and isinstance(m, int)) or m < 1 or n < 0:
+    if not (type(n) is int and type(m) is int) or m < 1 or n < 0:
         raise DomainError(f"need m >= 1 parts and n >= 0, got m={m!r}, n={n!r}")
 
 
@@ -187,7 +187,7 @@ class ValueTable:
         key = tuple(k)
         if (
             len(key) != self.model.m
-            or not all(isinstance(x, int) and x >= 0 for x in key)
+            or not all(type(x) is int and x >= 0 for x in key)
             or sum(key) != self.n
         ):
             raise DomainError(
@@ -223,7 +223,7 @@ def build_value_table(model: OutcomeModel, n: int) -> ValueTable:
     |K_n| > MAX_COMPOSITIONS.  The cyclic garbage collector is paused
     during the build and left as the caller had it.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
     width = n * (model.M + 1)
     if width > MAX_WIDTH:

@@ -190,12 +190,12 @@ class AdmissiblePermutation:
     def entry(self, i: int, ell: int) -> int:
         """IR(i, ell): outcome rank of summand i at level ell (i is 1-based)."""
         r = self.row(ell)
-        if not isinstance(i, int) or not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise DomainError(f"summand index {i!r} out of range [1, {self.n}]")
         return r[i - 1]
 
     def __call__(self, ell: int) -> int:
-        if not isinstance(ell, int) or not 0 <= ell < len(self.mapping):
+        if type(ell) is not int or not 0 <= ell < len(self.mapping):
             raise DomainError(f"level index {ell!r} out of range [0, {len(self.mapping)})")
         return self.mapping[ell]
 
@@ -229,7 +229,7 @@ def make_admissible(table: ValueTable, block_perms) -> AdmissiblePermutation:
             ranks = blocks[t] = tuple(b)
         except TypeError:  # not iterable; every class has gamma_t >= 1
             ranks = ()
-        if not all(isinstance(r, int) for r in ranks) or (
+        if not all(type(r) is int for r in ranks) or (
             sorted(ranks) != list(range(1, g + 1))
         ):
             raise DomainError(

@@ -112,7 +112,7 @@ def clt_table(table: ValueTable, grid_size: Optional[int] = None) -> CltResult:
     two, which is the Kolmogorov distance of the step function.  A
     grid_size, an int >= 1, subsamples the rows to at most that many.
     """
-    if grid_size is not None and (not isinstance(grid_size, int) or grid_size < 1):
+    if grid_size is not None and (type(grid_size) is not int or grid_size < 1):
         raise DomainError(f"grid size must be an integer >= 1, got {grid_size!r}")
     var = float(table.model.variance)
     if var <= 0.0:

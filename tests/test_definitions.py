@@ -16,6 +16,7 @@ acceptance tests do.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,3 +98,23 @@ def test_every_module_level_definition_is_read_beyond_its_unit_tests():
         and node.name not in exported | read
     ]
     assert test_only == []
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # pyproject.toml declares no dependencies, and every import of the
+    # package is paid again by each fresh process that loads it
+    foreign = []
+    for path, tree in _trees("src/quantperm"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []

@@ -17,6 +17,7 @@ from quantperm import (
     AdmissiblePermutation,
     BitString,
     DomainError,
+    ExactScalar,
     LayoutModel,
     alpha,
     beta_bruteforce,
@@ -25,6 +26,7 @@ from quantperm import (
     bench_scaling,
     build_value_table,
     builtin_model,
+    clt_table,
     decode_weight_index,
     encode_weight_index,
     enum_a,
@@ -38,6 +40,7 @@ from quantperm import (
     is_star,
     istep,
     iweight,
+    make_admissible,
     multinomial_coefficient,
     ria,
     rib,
@@ -45,7 +48,7 @@ from quantperm import (
     tau2,
     weight_index_of_bits,
 )
-from quantperm.indexing import decoded_vectors, step_classes, weight_classes
+from quantperm.indexing import _forget_path, decoded_vectors, step_classes, weight_classes
 from quantperm.multinomial import composition_count
 from quantperm.permutations import canonical_permutation
 
@@ -324,15 +327,20 @@ ORACLE_RANGES = (("A", 8), ("B", 4), ("C", 5))
 
 def test_enum_b_equals_class_lists(tables):
     # the explicit F_n lists IB_{n,t} in level order from SMC(t) on; it is
-    # a sort of weight_classes, with no counting loop
+    # a sort of weight_classes, with no counting loop.  Every (t, s) in
+    # order, then in a seeded shuffled order with the class path dropped
+    # before every other call: fresh and resumed unranks that scan up and
+    # down
     for name, n_top in ORACLE_RANGES:
         for n in range(1, n_top + 1):
             table = tables(name, n)
             canon = canonical_permutation(table).mapping
-            for t in range(table.T + 1):
-                start = table.smc[t]
-                for s in range(1, table.gammas[t] + 1):
-                    assert enum_b(table, t, s) == canon[start + s - 1], (name, n, t, s)
+            calls = [(t, s) for t in range(table.T + 1) for s in range(1, table.gammas[t] + 1)]
+            shuffled = random.Random(n).sample(calls, len(calls))
+            for j, (t, s) in enumerate(calls + shuffled):
+                if j >= len(calls) and j % 2:
+                    _forget_path(table, t)
+                assert enum_b(table, t, s) == canon[table.smc[t] + s - 1], (name, n, t, s)
 
 
 def test_beta_fast_equals_bruteforce_oracle(tables):
@@ -438,6 +446,21 @@ BOOL_TAKERS = {
         "samples_per_n",
     ),
     "selftest-n-max": (lambda a, ta: selftest(a, True), "n_max"),
+    "multinomial-n": (lambda a, ta: multinomial_coefficient(True, (1, 0)), "sum length"),
+    "multinomial-part": (
+        lambda a, ta: multinomial_coefficient(1, (True, 0)), "composition entries"
+    ),
+    "parts": (lambda a, ta: composition_count(True, 2), "need m >= 1 parts"),
+    "class-of": (lambda a, ta: ta.class_of((True, 2)), "not a composition"),
+    "table-n": (lambda a, ta: build_value_table(a, True), "sum length"),
+    "perm-level": (lambda a, ta: canonical_permutation(ta)(True), "level index"),
+    "perm-summand": (lambda a, ta: canonical_permutation(ta).entry(True, 0), "summand index"),
+    "block-rank": (
+        lambda a, ta: make_admissible(ta, [(True,), (1, 2, 3), (1, 2, 3), (1,)]),
+        "block 0 must be",
+    ),
+    "clt-grid": (lambda a, ta: clt_table(ta, True), "grid size"),
+    "radicand": (lambda a, ta: ExactScalar(1, 1, True), "radicand"),
 }
 
 
@@ -601,14 +624,17 @@ def test_checkpoint_paths_stay_bounded():
             assert ran_out or all(i >= n - bound for i in depths), depths
 
 
-# sha256 over (model, n, t, argument, result, tau1 delta, bigint_ops
-# delta) of every call below, each from chunk 1; pinned before the rank,
-# unrank and trace walks became one pass per chunk
-FRESH_WALKS_DIGEST = "e4ff459552a527a21f0ffcec4678ebfa6788f0d487dc18e83983d3eccfdbda14"
+# sha256 over (model, n, t, argument, result, tau1 delta) of every call
+# below, each from chunk 1, pinned before unranks scanned from the nearer
+# end of each block: what the walks return and the queries they make
+FRESH_WALK_RESULTS_DIGEST = "40d9e56490cb1bd7e3e875c0eca4d890df21c3ba7a8e04bbd85dabd3dee149c2"
+
+# the same records with each call's bigint_ops delta appended
+FRESH_WALKS_DIGEST = "9827621cd9b28f79ac517c0830ab7a9e80e2ca5cac257bcf2e62f33c36e2cc91"
 
 
 def test_fresh_walks_digest_pinned(tables):
-    digest = hashlib.sha256()
+    results, whole = hashlib.sha256(), hashlib.sha256()
     for name, n in (("A", 64), ("B", 32), ("C", 12), ("A", 9)):
         table = tables(name, n)
         rng = random.Random(n)
@@ -621,7 +647,41 @@ def test_fresh_walks_digest_pinned(tables):
                 before = table.stats.snapshot()
                 got = call(table, t, arg)
                 cost = table.stats.delta(before)
-                digest.update(
-                    repr((name, n, t, arg, got, cost.tau1_queries, cost.bigint_ops)).encode()
-                )
-    assert digest.hexdigest() == FRESH_WALKS_DIGEST
+                record = (name, n, t, arg, got, cost.tau1_queries)
+                results.update(repr(record).encode())
+                whole.update(repr(record + (cost.bigint_ops,)).encode())
+    assert results.hexdigest() == FRESH_WALK_RESULTS_DIGEST
+    assert whole.hexdigest() == FRESH_WALKS_DIGEST
+
+
+# bigint_ops of f_perm at 200 seeded levels of B at n = 32, each walk from
+# chunk 1: an unrank scans each chunk's values from the end of its block
+# nearer the rank, so a scan that only runs upward raises the count
+FRESH_UNRANK_BIGINT_OPS = 500374
+
+
+def test_fresh_unrank_bigint_ops_pinned(tables):
+    table = tables("B", 32)
+    rng = random.Random(32)
+    total = 0
+    for _ in range(200):
+        ell = rng.randrange(table.num_indices)
+        _forget_path(table, istep(table, ell))
+        before = table.stats.bigint_ops
+        f_perm(table, ell)
+        total += table.stats.bigint_ops - before
+    assert total == FRESH_UNRANK_BIGINT_OPS
+
+
+@pytest.mark.parametrize("name, n", [("B", 32), ("A", 64)])
+def test_fresh_unrank_at_block_ends_and_direction_switch(tables, name, n):
+    # s = gamma_t // 2 is the last rank scanned up from chunk value 0 at
+    # chunk 1, and gamma_t // 2 + 1 the first scanned down from m - 1
+    table = tables(name, n)
+    for t in range(table.T + 1):
+        g = table.gammas[t]
+        for s in sorted({1, g // 2, g // 2 + 1, g} - {0}):
+            _forget_path(table, t)
+            ell = enum_b(table, t, s)
+            assert iweight(table, ell) == t, (t, s)
+            assert beta_fast(table, t, ell) == s, (t, s)
