@@ -44,16 +44,19 @@ enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
 over K_n (|K_n| counted queries) and then only counts, so the query
 total is polynomial in n for fixed M.
 
-Every walk but beta_fast_trace also keeps a checkpoint path per class
-in the table's cache: its state on entering each of the last few
-chunks (about log_m n of them), or where the class ran out.  A later
-rank or unrank of the same class resumes from the deepest state whose
-prefix (for a rank) or block of ranks (for an unrank) covers it, so the
-walks of neighbouring levels or ranks (an exhaustive sweep, f_perm over
-consecutive levels, gamma_relation after inv_f, or inv_f after f_perm)
-count only what differs.  A resumed walk still pays its bulk tau1 scan;
+Every walk starts from a state: its depth, its blocks of levels and of
+ranks and the compositions still live.  Each class keeps a checkpoint
+path in the table's cache, the states of its last untraced walk on
+entering each of the last few chunks (about log_m n of them), or where
+the class ran out.  A walk resumes from the deepest state that holds it,
+its level for a rank or its rank for an unrank, or from the class root,
+and replaces the states below that.  So the walks of neighbouring levels
+or ranks (an exhaustive sweep, f_perm over consecutive levels,
+gamma_relation after inv_f, or inv_f after f_perm) count only what
+differs.  A resumed walk still pays its bulk tau1 scan;
 table.stats.bigint_ops counts only the arithmetic it does.
-beta_fast_trace always walks from chunk 1.
+beta_fast_trace always starts from the class root and keeps its states
+to itself.
 """
 
 from __future__ import annotations
@@ -213,27 +216,25 @@ def _count_walk(
     that stops, divided by r, are the next pairs' q, and its count the
     next total.
 
-    Returns (level walked, count): the count is beta(t, level), the
-    running count plus 1 if the level lies in class t.
+    Returns (level walked, count), the count being beta(t, xi) for a
+    rank and s for an unrank.  A rank stops where class t runs out, so
+    its level is then only the prefix walked.
 
-    An untraced walk keeps its checkpoint path in table._cache: its
-    state on entering each of the last D chunks, D being the least d
-    with m^d >= n plus one, or the one state where no class-t
-    composition extends the prefix any more.  A state at depth i holds
-    the block of levels that share its top i chunks, [lo, hi); its
-    block of ranks, (count, count + total], count being the count so
-    far and total the class-t levels in the level block (the sum of
-    the q, which an unrank already carries); i; and the live (k, q)
-    pairs and used.  The states' prefixes extend one another, so their
-    blocks nest, and the first state settles a miss.  Otherwise the
-    walk resumes from the deepest state that covers the call, a rank
-    whose xi lies in its level block or an unrank whose s lies in its
-    rank block.  The resumed walk
-    replaces the states below it, a walk from chunk 1 the whole path.
-    With r chunks left at most C(r + m - 1, m - 1) pairs are live, so a
-    path holds at most C(D + m, m) - 1 pairs, and D grows like log_m n.
-    Traced walks neither read nor write it.  Every call, resumed or
-    not, makes the one bulk tau1 scan of the class.
+    Every walk starts from a state: at depth i, the block of levels that
+    share its top i chunks, [lo, hi); the block of ranks (count,
+    count + total], total being the class-t levels in the level block;
+    i; the live (k, q) pairs; and used.  The class root is depth 0,
+    [0, m^n), (0, gamma_t], every class-t pair and nothing used.  A walk
+    starts from the deepest state of its class's checkpoint path in
+    table._cache that holds it (xi in the level block, or s in the rank
+    block), else from the root, and replaces the states below that with
+    its own on entering each of the last D chunks (D the least d with
+    m^d >= n, plus one), or the one state where the class ran out.  The
+    states' blocks nest, so the first one settles a miss.  With r chunks
+    left at most C(r + m - 1, m - 1) pairs are live, so a path holds at
+    most C(D + m, m) - 1 pairs.  A trace keeps its states in a throwaway
+    path, so it neither reads nor writes the cache.  Every call makes
+    the one bulk tau1 scan of the class.
     """
     model = table.model
     n = table.n
@@ -242,35 +243,29 @@ def _count_walk(
     lut = model._index_of_chunk
     stats = table.stats
     members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
-    key = ("rank", t)
-    path = table._cache.get(key) if steps is None else None
+    path = table._cache.setdefault(("rank", t), []) if steps is None else []
     # a rank looks up xi in fields 0 and 1 of a state, its level block,
     # and an unrank s - 1 in fields 2 and 3, its rank block
     lo, target = (0, xi) if xi is not None else (2, s - 1)
-    if path and path[0][lo] <= target < path[0][lo + 1]:
-        j = len(path) - 1
-        while not path[j][lo] <= target < path[j][lo + 1]:
-            j -= 1
-        del path[j + 1:]
-        ell, _, count, total, start, pairs, used = path[j]
-        total -= count
-        ell >>= (n - start) * mp1
-        used = list(used)
-        save_from = start + 1  # the path already holds the state at start
-    else:
-        # (k, q) for every class-t composition k that extends the chunks
-        # fixed so far, whose outcome counts are in used; q is the number
-        # of ways to fill the r chunks left, the multinomial coefficient
-        # of k - used.  Fixing the next chunk to outcome s1 + 1 multiplies
-        # that coefficient by (k[s1] - used[s1]) / r, so the completions
-        # with that next chunk are the exact sum of q * (k[s1] - used[s1])
-        # over r; every carried k has k >= used.
-        start, ell, count, total = 0, 0, 0, table.gammas[t]
-        pairs = list(zip(members, table.coefs[t]))
-        used = [0] * model.m
-        if steps is None:
-            path = table._cache[key] = []
-        save_from = 0 if steps is None else n
+    j = len(path) - 1 if path and path[0][lo] <= target < path[0][lo + 1] else -1
+    while j > 0 and not path[j][lo] <= target < path[j][lo + 1]:
+        j -= 1
+    del path[j + 1:]
+    # pairs holds (k, q) for every class-t composition k that extends the
+    # chunks fixed so far, whose outcome counts are in used; q is the number
+    # of ways to fill the r chunks left, the multinomial coefficient of
+    # k - used.  Fixing the next chunk to outcome s1 + 1 multiplies that
+    # coefficient by (k[s1] - used[s1]) / r, so the completions with that
+    # next chunk are the exact sum of q * (k[s1] - used[s1]) over r; every
+    # carried k has k >= used.
+    ell, _, count, total, start, pairs, used = path[j] if j >= 0 else (
+        0, table.num_indices, 0, table.gammas[t], 0,
+        list(zip(members, table.coefs[t])), (0,) * model.m,
+    )
+    total -= count
+    ell >>= (n - start) * mp1
+    used = list(used)
+    save_from = start + (j >= 0)  # a resumed walk's path already holds its start
     kept = -(-(n - 1).bit_length() // mp1) + 1  # D, the least d with m^d >= n, plus one
     for i in range(start, n):
         r = n - i
@@ -284,7 +279,7 @@ def _count_walk(
         if not pairs and steps is None:
             # rank walks only (an unrank walk never leaves class t): no
             # class-t level extends this prefix, so the count is final
-            return xi, count
+            break
         if xi is None:
             # scan from the end of (count, count + total] nearer s
             down = 2 * (s - count) > total
@@ -329,7 +324,7 @@ def _count_walk(
 
 
 def _forget_path(table: ValueTable, t: int):
-    """Drop class t's checkpoint path, so its next walk starts from chunk 1."""
+    """Drop class t's checkpoint path, so its next walk starts from the class root."""
     table._cache.pop(("rank", t), None)
 
 

@@ -39,6 +39,7 @@ import gc
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, isqrt, lcm, prod
 from typing import Iterator, Sequence, Tuple
 
@@ -75,14 +76,21 @@ def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
 
 
 def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
-    """All compositions of n into m parts, lexicographically increasing."""
+    """All compositions of n into m parts, lexicographically increasing.
+
+    Each is read off the places of m - 1 bars among n + m - 1 slots: the
+    parts are the runs of slots between consecutive bars, and the bars'
+    places in lex order give the parts in lex order, at a call depth
+    that does not grow with m."""
     _check_parts(n, m)
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in enumerate_compositions(n - first, m - 1):
-            yield (first,) + rest
+    end = n + m - 1
+    for bars in combinations(range(end), m - 1):
+        k, a = [], -1
+        for b in bars:
+            k.append(b - a - 1)
+            a = b
+        k.append(end - a - 1)
+        yield tuple(k)
 
 
 def composition_count(n: int, m: int) -> int:

@@ -381,6 +381,8 @@ def load_model(path: str) -> OutcomeModel:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise DomainError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DomainError(f"{path}: JSON nested too deeply") from None
     try:
         return model_from_json(doc)
     except DomainError as e:

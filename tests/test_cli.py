@@ -221,6 +221,15 @@ def test_bad_model_and_perm_files_are_domain_errors(capsys, tmp_path, time_limit
     assert err.startswith("error:")
 
 
+def test_deeply_nested_model_file_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "model", "--model", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda kids: st.lists(kids, max_size=4)

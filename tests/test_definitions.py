@@ -10,7 +10,7 @@ package's __init__.py is exempt, as its imports are re-exports.
 
 A module-level function or class must also have a reader beyond its
 unit tests: the package exports it, src/ or perfbench/ reads it, or the
-acceptance tests do.
+acceptance tests do.  And no function of the package calls itself.
 """
 
 from __future__ import annotations
@@ -118,3 +118,25 @@ def test_the_package_imports_only_itself_and_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_no_function_of_the_package_calls_itself():
+    # a function that calls itself nests one frame per step, so its depth
+    # grows with its input and a large enough input ends in RecursionError
+    recursive = []
+    for path, tree in _trees("src/quantperm"):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == node.name) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == node.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("self", "cls")
+                ):
+                    recursive.append(f"{path.name}:{call.lineno} {node.name}")
+    assert recursive == []

@@ -53,6 +53,25 @@ def test_enumeration_lex_order():
     assert all(sum(k) == 3 for k in ks)
 
 
+def test_enumeration_depth_does_not_grow_with_parts():
+    # the build splits K_n into halves of m/2 + 1 parts: at M = 10 that is
+    # 1,025 parts, past the interpreter's default recursion limit
+    M = 10
+    model = build_manual(
+        M,
+        [
+            (tuple((c >> (M - i)) & 1 for i in range(M + 1)), ExactScalar(c))
+            for c in range(2 ** (M + 1))
+        ],
+        strict=False,
+    )
+    table = build_value_table(model, 1)
+    assert table.T + 1 == 2048
+    assert table.gammas == (1,) * 2048
+    ks = list(enumerate_compositions(1, 1500))
+    assert len(ks) == composition_count(1, 1500) and ks == sorted(ks)
+
+
 def test_counts_sum_to_power(tables):
     for name, n in (("A", 5), ("B", 3), ("C", 3)):
         table = tables(name, n)
