@@ -229,12 +229,11 @@ def _count_walk(
     table._cache that holds it (xi in the level block, or s in the rank
     block), else from the root, and replaces the states below that with
     its own on entering each of the last D chunks (D the least d with
-    m^d >= n, plus one), or the one state where the class ran out.  The
-    states' blocks nest, so the first one settles a miss.  With r chunks
-    left at most C(r + m - 1, m - 1) pairs are live, so a path holds at
-    most C(D + m, m) - 1 pairs.  A trace keeps its states in a throwaway
-    path, so it neither reads nor writes the cache.  Every call makes
-    the one bulk tau1 scan of the class.
+    m^d >= n, plus one), or the one state where the class ran out.
+    With r chunks left at most C(r + m - 1, m - 1) pairs are live, so a
+    path holds at most C(D + m, m) - 1 pairs.  A trace keeps its states
+    in a throwaway path, so it neither reads nor writes the cache.
+    Every call makes the one bulk tau1 scan of the class.
     """
     model = table.model
     n = table.n
@@ -247,8 +246,8 @@ def _count_walk(
     # a rank looks up xi in fields 0 and 1 of a state, its level block,
     # and an unrank s - 1 in fields 2 and 3, its rank block
     lo, target = (0, xi) if xi is not None else (2, s - 1)
-    j = len(path) - 1 if path and path[0][lo] <= target < path[0][lo + 1] else -1
-    while j > 0 and not path[j][lo] <= target < path[j][lo + 1]:
+    j = len(path) - 1
+    while j >= 0 and not path[j][lo] <= target < path[j][lo + 1]:
         j -= 1
     del path[j + 1:]
     # pairs holds (k, q) for every class-t composition k that extends the
@@ -258,7 +257,7 @@ def _count_walk(
     # coefficient by (k[s1] - used[s1]) / r, so the completions with that
     # next chunk are the exact sum of q * (k[s1] - used[s1]) over r; every
     # carried k has k >= used.
-    ell, _, count, total, start, pairs, used = path[j] if j >= 0 else (
+    ell, _, count, total, start, pairs, used = path[-1] if path else (
         0, table.num_indices, 0, table.gammas[t], 0,
         list(zip(members, table.coefs[t])), (0,) * model.m,
     )
