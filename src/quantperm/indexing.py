@@ -46,12 +46,12 @@ total is polynomial in n for fixed M.
 
 Every walk starts from a state: its depth, its blocks of levels and of
 ranks and the compositions still live.  Each class keeps a checkpoint
-path in the table's cache, the states of its last untraced walk on
-entering each of the last few chunks (about log_m n of them), or where
-the class ran out.  A walk resumes from the deepest state that holds it,
-its level for a rank or its rank for an unrank, or from the class root,
-and replaces the states below that.  So the walks of neighbouring levels
-or ranks (an exhaustive sweep, f_perm over consecutive levels,
+path in the table's cache: the states of its untraced walks on entering
+each of the last few chunks (about log_m n of them), or where the class
+ran out.  A walk resumes from the deepest state that holds it (its
+level for a rank, its rank for an unrank), or from the class root, and
+replaces the states below that.  So the walks of neighbouring levels or
+ranks (an exhaustive sweep, f_perm over consecutive levels,
 gamma_relation after inv_f, or inv_f after f_perm) count only what
 differs.  A resumed walk still pays its bulk tau1 scan;
 table.stats.bigint_ops counts only the arithmetic it does.
