@@ -20,15 +20,16 @@ import json
 import sys
 from array import array
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .bench import bench_scaling, selftest
 from .errors import DomainError
 from .indexing import (
     _decoded_rows,
     _require_explicit,
+    _step_classes,
     alpha,
     beta_bruteforce,
     beta_fast,
@@ -184,11 +185,6 @@ def _rows(args, table: ValueTable, lazy, listing) -> Iterable[Tuple[int, int]]:
     if args.ell is None:
         raise DomainError("need --ell L or --all")
     return [(args.ell, lazy(table, args.ell))]
-
-
-def _step_classes(table: ValueTable) -> Iterator[int]:
-    """istep of every level: t over its step block [SMC(t), SMC(t+1))."""
-    return chain.from_iterable(map(repeat, range(table.T + 1), table.gammas))
 
 
 def _classes(lazy, listing, args, table: ValueTable) -> Output:

@@ -46,24 +46,24 @@ total is polynomial in n for fixed M.
 
 Every walk starts from a state: its depth, its blocks of levels and of
 ranks and the compositions still live.  Each class keeps a checkpoint
-path in the table's cache: the states of its untraced walks on entering
-each of the last few chunks (about log_m n of them), or where the class
-ran out.  A walk resumes from the deepest state that holds it (its
-level for a rank, its rank for an unrank), or from the class root, and
+path in the table's cache: the states of its walks on entering each of
+the last few chunks (about log_m n of them), or where the class ran
+out.  A walk resumes from the deepest state that holds it (its level
+for a rank, its rank for an unrank), or from the class root, and
 replaces the states below that.  So the walks of neighbouring levels or
 ranks (an exhaustive sweep, f_perm over consecutive levels,
 gamma_relation after inv_f, or inv_f after f_perm) count only what
 differs.  A resumed walk still pays its bulk tau1 scan;
 table.stats.bigint_ops counts only the arithmetic it does.
-beta_fast_trace always starts from the class root and keeps its states
-to itself.
+beta_fast_trace is a rank from the class root that files each count
+under its 1-bit of xi, and leaves the path such a rank leaves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -96,8 +96,10 @@ def decode_weight_index(model: OutcomeModel, n: int, ell: int) -> Tuple[int, ...
     if type(n) is not int or n < 1:
         raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
     mp1 = model.M + 1
-    if type(ell) is not int or not 0 <= ell < model.m**n:
-        raise DomainError(f"level index {ell!r} out of range [0, {model.m ** n})")
+    if type(ell) is not int or ell < 0 or ell.bit_length() > n * mp1:
+        # a level of over 14,285 bits has more digits than str() prints
+        got = f"of {ell.bit_length()} bits" if type(ell) is int and ell > 0 else repr(ell)
+        raise DomainError(f"level index {got} out of range [0, 2^{n * mp1})")
     mask = model.m - 1
     lut = model._index_of_chunk
     return tuple(lut[(ell >> ((n - i) * mp1)) & mask] for i in range(1, n + 1))
@@ -181,14 +183,19 @@ def beta_fast(table: ValueTable, t: int, xi: int) -> int:
     """beta by ranking xi in the counting loop; one bulk tau1 scan."""
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
-    return _count_walk(table, t, xi=xi)[1]
+    return _count_walk(table, t, xi=xi)
 
 
 def beta_fast_trace(table: ValueTable, t: int, xi: int) -> BetaWalk:
+    """beta(t, xi) split over the 1-bits zeta of xi, in increasing order:
+    the class-t levels below xi that first differ from it at zeta, and
+    the self term [iweight(xi) = t].  A rank of xi from the class root,
+    it leaves the path that a beta_fast of xi from the root leaves."""
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
-    steps: Dict[int, int] = {}
-    total = _count_walk(table, t, xi=xi, steps=steps)[1]
+    _forget_path(table, t)
+    steps = {z: 0 for z in range(1, table.width + 1) if xi >> (table.width - z) & 1}
+    total = _count_walk(table, t, xi=xi, steps=steps)
     return BetaWalk(t, xi, total, total - sum(steps.values()), list(steps.items()))
 
 
@@ -198,27 +205,26 @@ def _count_walk(
     xi: Optional[int] = None,
     s: int = 0,
     steps: Optional[Dict[int, int]] = None,
-) -> Tuple[int, int]:
+) -> int:
     """The counting loop over the class-t compositions, chunk by chunk.
 
     Rank (xi given): at every chunk one pass runs over the chunk values
     c below xi's next chunk cx and adds the class-t completions of each
     to one running count, so the count ends as the class-t levels below
-    xi; a dict passed as steps also receives each c's count under the
-    1-bit zeta of cx where c first differs from it, zeros included once
-    the class has run out.  Unrank (xi None): s lies in the block of
-    ranks (count, count + total], total being the class-t completions of
-    the prefix.  If s lies in its lower half the pass runs up from c = 0
-    and each c takes the bottom of what is left of the block, else down
-    from m - 1 taking the top; it stops at the c whose completions hold
-    s, and that c becomes cx.  The last c of either direction is not
-    counted, its share being what is left.  The products of the pass
-    that stops, divided by r, are the next pairs' q, and its count the
-    next total.
+    xi.  A trace passes steps holding 0 at every 1-bit of xi, and each
+    c's count is added to steps[zeta], zeta being the 1-bit of cx where
+    c first differs from it.  Unrank (xi None): s lies in the block of
+    ranks (count, count + total], total being the class-t completions
+    of the prefix.  If s lies in its lower half the pass runs up from
+    c = 0 and each c takes the bottom of what is left of the block, else
+    down from m - 1 taking the top; it stops at the c whose completions
+    hold s, and that c becomes cx.  The last c of either direction is
+    not counted, its share being what is left.  The products of the
+    pass that stops, divided by r, are the next pairs' q, and its count
+    the next total.
 
-    Returns (level walked, count), the count being beta(t, xi) for a
-    rank and s for an unrank.  A rank stops where class t runs out, so
-    its level is then only the prefix walked.
+    Returns beta(t, xi) for a rank, which stops where class t runs out,
+    and the level of rank s for an unrank.
 
     Every walk starts from a state: at depth i, the block of levels that
     share its top i chunks, [lo, hi); the block of ranks (count,
@@ -231,9 +237,8 @@ def _count_walk(
     its own on entering each of the last D chunks (D the least d with
     m^d >= n, plus one), or the one state where the class ran out.
     With r chunks left at most C(r + m - 1, m - 1) pairs are live, so a
-    path holds at most C(D + m, m) - 1 pairs.  A trace keeps its states
-    in a throwaway path, so it neither reads nor writes the cache.
-    Every call makes the one bulk tau1 scan of the class.
+    path holds at most C(D + m, m) - 1 pairs.  Every call makes the one
+    bulk tau1 scan of the class.
     """
     model = table.model
     n = table.n
@@ -242,7 +247,7 @@ def _count_walk(
     lut = model._index_of_chunk
     stats = table.stats
     members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
-    path = table._cache.setdefault(("rank", t), []) if steps is None else []
+    path = table._cache.setdefault(("rank", t), [])
     # a rank looks up xi in fields 0 and 1 of a state, its level block,
     # and an unrank s - 1 in fields 2 and 3, its rank block
     lo, target = (0, xi) if xi is not None else (2, s - 1)
@@ -275,7 +280,7 @@ def _count_walk(
             path.append(
                 (ell << shift, (ell + 1) << shift, count, count + total, i, pairs, tuple(used))
             )
-        if not pairs and steps is None:
+        if not pairs:
             # rank walks only (an unrank walk never leaves class t): no
             # class-t level extends this prefix, so the count is final
             break
@@ -311,15 +316,14 @@ def _count_walk(
                 acc = sum([q * (k[s1] - u) for k, q in pairs]) // r
                 stats.bigint_ops += len(pairs)
                 count += acc
-                if steps is not None:
-                    zeta = i * mp1 + mp1 + 1 - (c ^ cx).bit_length()
-                    steps[zeta] = steps.get(zeta, 0) + acc
+                if steps:  # a trace's, holding every 1-bit of xi
+                    steps[i * mp1 + mp1 + 1 - (c ^ cx).bit_length()] += acc
             s1 = lut[cx] - 1
             u = used[s1]
             pairs = [(k, q * (k[s1] - u) // r) for k, q in pairs if k[s1] > u]
         used[s1] = u + 1
         ell = (ell << mp1) | cx
-    return ell, count + len(pairs)
+    return ell if xi is None else count + len(pairs)
 
 
 def _forget_path(table: ValueTable, t: int):
@@ -338,7 +342,7 @@ def enum_b(table: ValueTable, t: int, s: int) -> int:
     """s-th smallest element of IB_{n,t}, by unranking s in the counting loop."""
     table._check_class(t)
     _check_s(table, t, s)
-    ell, _ = _count_walk(table, t, s=s)
+    ell = _count_walk(table, t, s=s)
     if iweight(table, ell) != t:
         raise DomainError(
             f"enum_b postcondition failed: iweight({ell}) != {t}"
@@ -396,14 +400,15 @@ def weight_classes(table: ValueTable) -> List[int]:
     return [cls[a + b] for a in hi for b in lo]
 
 
+def _step_classes(table: ValueTable) -> Iterator[int]:
+    """istep of every level, streamed: t over its step block [SMC(t), SMC(t+1))."""
+    return chain.from_iterable(map(repeat, range(table.T + 1), table.gammas))
+
+
 def step_classes(table: ValueTable) -> List[int]:
-    """istep of every level index: class t repeated gamma_t times,
-    computed on each call."""
+    """istep of every level index, computed on each call."""
     _require_explicit(table.width, "explicit level tables")
-    out = []
-    for t, g in enumerate(table.gammas):
-        out.extend([t] * g)
-    return out
+    return list(_step_classes(table))
 
 
 def decoded_vectors(table: ValueTable) -> List[Tuple[int, ...]]:

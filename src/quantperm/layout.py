@@ -28,7 +28,7 @@ degenerates to Jbar_i = {i(i+1)/2}, the triangular numbers.
 from __future__ import annotations
 
 from math import comb, isqrt
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .errors import DomainError
 from .exactnum import ExactScalar
@@ -103,12 +103,14 @@ class LayoutModel:
 
     def jbar_union(self, n: int) -> Tuple[int, ...]:
         """Jbar^n = Jbar_1 u ... u Jbar_n, ascending."""
+        return tuple(self._jbar_coords(n))
+
+    def _jbar_coords(self, n: int) -> Iterator[int]:
+        """The coordinates of Jbar^n, ascending, made one at a time."""
         if type(n) is not int or n < 1:
             raise DomainError(f"n must be an integer >= 1, got {n!r}")
-        out = []
         for i in range(1, n + 1):
-            out.extend(self.jbar_set(i))
-        return tuple(out)
+            yield from self.jbar_set(i)
 
 
 class BitString:
@@ -143,9 +145,9 @@ class BitString:
 
 
 def weight_index_of_bits(layout: LayoutModel, x: BitString, n: int) -> int:
-    """Level index spelled by the digits of x at the coordinates Jbar^n."""
+    """Level index spelled by x's digits at Jbar^n, each read as its coordinate is made."""
     ell = 0
-    for j in layout.jbar_union(n):
+    for j in layout._jbar_coords(n):
         ell = (ell << 1) | x.bit(j)
     return ell
 

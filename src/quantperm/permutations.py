@@ -52,7 +52,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .indexing import (
-    _check_level,
     _decoded_rows,
     _halves,
     _require_explicit,
@@ -87,8 +86,6 @@ def inv_f(table: ValueTable, ellp: int) -> int:
 
 def gamma_relation(table: ValueTable, ell: int, ellp: int) -> bool:
     """Does (ell, ellp) satisfy the characterizing relation of F_n?"""
-    _check_level(table, ell)
-    _check_level(table, ellp)
     t = istep(table, ell)
     chi = 1 if iweight(table, ellp) == t else 0
     return beta_fast(table, t, ellp) * chi == alpha(table, t, ell)

@@ -140,6 +140,20 @@ def test_tau2(model_b):
         tau2(model_b, 2, 1, 0, 3)
 
 
+@pytest.mark.parametrize("n", [15_000, 10**6])
+def test_out_of_range_level_at_large_n_is_a_domain_error(model_a, model_b, n, time_limit):
+    # from n = 14,285 on A the bound 2^(n(M+1)) has more decimal digits
+    # than str() prints, and so has any level past it
+    with time_limit(1):
+        for model in (model_a, model_b):
+            width = n * (model.M + 1)
+            for ell in (-1, 1 << width, 3 << width):
+                with pytest.raises(DomainError, match="level index"):
+                    decode_weight_index(model, n, ell)
+                with pytest.raises(DomainError, match="level index"):
+                    tau2(model, n, 1, ell, 0)
+
+
 # every rank, chunk, bound, bit, size and layout offset given as a
 # non-int, with B at n = 2
 NON_INT_CALLS = {
@@ -536,7 +550,7 @@ def test_resumed_rank_equals_fresh_walk():
         assert resumed[1] >= 195 and resumed[2] > 50, (name, resumed)
 
 
-def test_unrank_leaves_the_rank_checkpoint_and_trace_leaves_it_alone():
+def test_unrank_and_trace_leave_the_fresh_rank_checkpoint():
     table = build_value_table(builtin_model("B"), 32)
     rng = random.Random(7)
     costs = [0, 0]
@@ -564,13 +578,40 @@ def test_unrank_leaves_the_rank_checkpoint_and_trace_leaves_it_alone():
         costs[0] += resumed
         costs[1] += fresh
         # the trace walks from chunk 1 even where the checkpoint fits,
-        # and leaves the record as it was
+        # and leaves the record the fresh rank left
         record = _record(table, t)
         before = table.stats.snapshot()
         assert beta_fast_trace(table, t, ell).total == s
         assert table.stats.delta(before).bigint_ops == fresh
-        assert _record(table, t) is record
+        assert _record(table, t) == record
     assert costs[0] < costs[1], costs
+
+
+def test_trace_leaves_the_path_of_a_rank_from_the_root(model_a, model_b, model_c):
+    # a trace is a rank from the class root that files its counts: over
+    # whatever path it finds, it leaves the states a root-started
+    # beta_fast of the same (t, xi) leaves, at the same bigint_ops
+    for model, n in ((model_a, 40), (model_b, 16), (model_c, 8)):
+        table = build_value_table(model, n)
+        rng = random.Random(n)
+        kept = next(d for d in range(n + 1) if model.m**d >= n) + 1
+        ran_out = 0
+        for j in range(200):
+            xi = rng.randrange(table.num_indices)
+            t = iweight(table, xi) if j % 2 else rng.randrange(table.T + 1)
+            _forget_path(table, t)
+            before = table.stats.bigint_ops
+            count = beta_fast(table, t, xi)
+            cost = table.stats.bigint_ops - before
+            path = table._cache[("rank", t)][:]
+            enum_b(table, t, 1 + rng.randrange(table.gammas[t]))
+            before = table.stats.bigint_ops
+            assert beta_fast_trace(table, t, xi).total == count
+            assert table.stats.bigint_ops - before == cost, (n, t, xi)
+            assert table._cache[("rank", t)] == path, (n, t, xi)
+            # the class ran out above the last D chunks, whose states are kept
+            ran_out += len(path) == 1 and not path[0][5] and path[0][4] < n - kept
+        assert ran_out > 50, (n, ran_out)
 
 
 def test_unranks_in_rank_order_resume():

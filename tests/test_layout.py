@@ -142,6 +142,19 @@ def test_eval_insufficient_depth(model_b):
         weight_index_of_bits(lay, x, 2)
 
 
+def test_short_bits_fail_at_the_first_missing_digit(model_a, model_b, time_limit):
+    # each digit is read as its coordinate of Jbar^n is made, so a short x
+    # is refused at its first missing digit however large n is
+    x = BitString([1, 0, 1])
+    with time_limit(1):
+        for model in (model_a, model_b):
+            lay = LayoutModel(model.M)
+            with pytest.raises(DomainError, match="insufficient depth"):
+                weight_index_of_bits(lay, x, 10**12)
+            with pytest.raises(DomainError, match="insufficient depth"):
+                eval_partial_sum(model, lay, x, 10**12)
+
+
 def test_eval_model_layout_mismatch(model_b):
     lay = LayoutModel(0)
     x = BitString([1])
