@@ -30,31 +30,50 @@ it is refused above EXPLICIT_WIDTH_LIMIT like every explicit map.
 beta_fast ranks xi in the counting loop, and enum_b unranks s in the
 same loop: ranking and unranking multiset permutations are one descent
 run in two directions.  The loop fixes the chunks one at a time, most
-significant first, and carries every class-t composition that still
-extends the fixed prefix together with its number of completions.
-Ranking takes the next chunk from xi, and one pass adds the class-t
-completions of every chunk value below it to one running count.
-Unranking also carries the size of the prefix's block of class-t ranks.
-It scans the chunk values from the end of that block nearer s, from 0
-up or from m - 1 down, and stops at the value whose share of the block
-holds s; the last value scanned takes what is left.  So both directions
-hold the same state at every depth.
+significant first, and keeps the number of class-t completions of the
+fixed prefix.  Ranking takes the next chunk from xi, and one pass adds
+the class-t completions of every chunk value below it to one running
+count.  Unranking also carries the size of the prefix's block of
+class-t ranks.  It scans the chunk values from the end of that block
+nearer s, from 0 up or from m - 1 down, and stops at the value whose
+share of the block holds s; the last value scanned takes what is left.
+So both directions hold the same state at every depth.
+
+A prefix's completions are counted one of two ways, chosen per table on
+its first walk by one rule, (n + 1)(T + 1) <= |K_n| (_counts_by_code):
+
+* By chunk code.  A class-t prefix with r chunks left has N_r(rest)
+  completions: the r-chunk strings whose chunk codes sum to rest, class
+  t's code minus the prefix's.  N_0 = {0: 1} and N_{r+1}(c) sums
+  N_r(c - code) over the chunk values' codes, so N_0 .. N_{n-1} are
+  built once, with fewer entries than K_n has compositions under the
+  rule, and a chunk value costs one dict lookup.  The rule admits B
+  from n = 13 on, whose 3n + 1 classes are few and large.
+* By pairs.  The walk carries every class-t composition that still
+  extends the prefix with its number of completions, and a chunk
+  value's completions are a sum over them.  Where values rarely
+  collide, as for A (one composition a class) and the M = 2 Haar model
+  of perfbench/inputs (about two), classes are small, and the rule
+  admits none of those tables.
+
 The class is known only through the tau1 oracle: each beta_fast or
 enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
 over K_n (|K_n| counted queries) and then only counts, so the query
-total is polynomial in n for fixed M.
+total is polynomial in n for fixed M.  A walk by chunk code reads class
+t's code from the first member the scan returns.
 
 Every walk starts from a state: its depth, its blocks of levels and of
-ranks and the compositions still live.  Each class keeps a checkpoint
-path in the table's cache: the states of its walks on entering each of
-the last few chunks (about log_m n of them), or where the class ran
-out.  A walk resumes from the deepest state that holds it (its level
-for a rank, its rank for an unrank), or from the class root, and
-replaces the states below that.  So the walks of neighbouring levels or
-ranks (an exhaustive sweep, f_perm over consecutive levels,
-gamma_relation after inv_f, or inv_f after f_perm) count only what
-differs.  A resumed walk still pays its bulk tau1 scan;
-table.stats.bigint_ops counts only the arithmetic it does.
+ranks, and rest (by code) or the compositions still live (by pairs).
+Each class keeps a checkpoint path in the table's cache: the states of
+its walks on entering each of the last few chunks (about log_m n of
+them), or where the class ran out.  A walk resumes from the deepest
+state that holds it (its level for a rank, its rank for an unrank), or
+from the class root, and replaces the states below that.  So the walks
+of neighbouring levels or ranks (an exhaustive sweep, f_perm over
+consecutive levels, gamma_relation after inv_f, or inv_f after f_perm)
+count only what differs.  A resumed walk still pays its bulk tau1 scan;
+table.stats.bigint_ops counts only the arithmetic it does: one op per
+lookup by code, one per composition summed by pairs.
 beta_fast_trace is a rank from the class root that files each count
 under its 1-bit of xi, and leaves the path such a rank leaves.
 """
@@ -66,7 +85,7 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .exactnum import ExactScalar
 from .multinomial import ValueTable
 from .outcomes import OutcomeModel
@@ -87,19 +106,17 @@ def _require_explicit(width: int, what: str = "explicit permutation tables"):
 def _check_level(table: ValueTable, ell: int, name: str = "level index"):
     if type(ell) is not int or not 0 <= ell < table.num_indices:
         raise DomainError(
-            f"{name} {ell!r} out of range [0, {table.num_indices})"
+            f"{name} {shown(ell)} out of range [0, {table.num_indices})"
         )
 
 
 def decode_weight_index(model: OutcomeModel, n: int, ell: int) -> Tuple[int, ...]:
     """Outcome ranks (s_1, ..., s_n) of the n chunks of ell; chunk 1 first."""
     if type(n) is not int or n < 1:
-        raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
+        raise DomainError(f"sum length n must be an integer >= 1, got {shown(n)}")
     mp1 = model.M + 1
     if type(ell) is not int or ell < 0 or ell.bit_length() > n * mp1:
-        # a level of over 14,285 bits has more digits than str() prints
-        got = f"of {ell.bit_length()} bits" if type(ell) is int and ell > 0 else repr(ell)
-        raise DomainError(f"level index {got} out of range [0, 2^{n * mp1})")
+        raise DomainError(f"level index {shown(ell)} out of range [0, 2^{shown(n * mp1)})")
     mask = model.m - 1
     lut = model._index_of_chunk
     return tuple(lut[(ell >> ((n - i) * mp1)) & mask] for i in range(1, n + 1))
@@ -148,7 +165,7 @@ def tau2(model: OutcomeModel, n: int, s: int, ell: int, b: int) -> int:
     """How many chunks i in (b, n] of ell decode to outcome rank s."""
     svec = decode_weight_index(model, n, ell)  # checks n before b is compared with it
     if type(b) is not int or not 0 <= b <= n:
-        raise DomainError(f"chunk bound {b!r} out of range [0, {n}]")
+        raise DomainError(f"chunk bound {shown(b)} out of range [0, {shown(n)}]")
     model._check_rank(s)
     return sum(1 for i in range(b, n) if svec[i] == s)
 
@@ -206,7 +223,7 @@ def _count_walk(
     s: int = 0,
     steps: Optional[Dict[int, int]] = None,
 ) -> int:
-    """The counting loop over the class-t compositions, chunk by chunk.
+    """The counting loop over the class-t levels, chunk by chunk.
 
     Rank (xi given): at every chunk one pass runs over the chunk values
     c below xi's next chunk cx and adds the class-t completions of each
@@ -219,9 +236,22 @@ def _count_walk(
     c = 0 and each c takes the bottom of what is left of the block, else
     down from m - 1 taking the top; it stops at the c whose completions
     hold s, and that c becomes cx.  The last c of either direction is
-    not counted, its share being what is left.  The products of the
-    pass that stops, divided by r, are the next pairs' q, and its count
-    the next total.
+    not counted, its share being what is left.
+
+    A prefix's class-t completions are counted one of two ways, chosen
+    on the table's first walk (_walk_constants) and read once at the top
+    of every walk:
+
+    * by code: with r chunks left they are N_r(rest), the number of
+      r-chunk strings whose chunk codes sum to rest, class t's code
+      minus the prefix's.  N_0 .. N_{n-1} (_chunk_counts) are built on
+      the table's first walk, so each chunk value costs one dict lookup
+      and fixing cx subtracts its code from rest.
+    * by pairs: the walk carries every class-t composition k that
+      extends the prefix with q, its number of completions, and used,
+      the prefix's outcome counts.  A chunk value's completions are the
+      sum of q * (k[s1] - used[s1]) over r, and the products of the
+      pass that fixes cx, divided by r, are the next q.
 
     Returns beta(t, xi) for a rank, which stops where class t runs out,
     and the level of rank s for an unrank.
@@ -229,22 +259,22 @@ def _count_walk(
     Every walk starts from a state: at depth i, the block of levels that
     share its top i chunks, [lo, hi); the block of ranks (count,
     count + total], total being the class-t levels in the level block;
-    i; the live (k, q) pairs; and used.  The class root is depth 0,
-    [0, m^n), (0, gamma_t], every class-t pair and nothing used.  A walk
-    starts from the deepest state of its class's checkpoint path in
-    table._cache that holds it (xi in the level block, or s in the rank
-    block), else from the root, and replaces the states below that with
-    its own on entering each of the last D chunks (D the least d with
-    m^d >= n, plus one), or the one state where the class ran out.
-    With r chunks left at most C(r + m - 1, m - 1) pairs are live, so a
-    path holds at most C(D + m, m) - 1 pairs.  Every call makes the one
-    bulk tau1 scan of the class.
+    i; and rest by code, or the live (k, q) pairs and used by pairs.
+    The class root is depth 0, [0, m^n), (0, gamma_t] and class t's code,
+    or every class-t pair and nothing used.  A walk starts from the
+    deepest state of its class's checkpoint path in table._cache that
+    holds it (xi in the level block, or s in the rank block), else from
+    the root, and replaces the states below that with its own on
+    entering each of the last D chunks (D the least d with m^d >= n,
+    plus one), or the one state where the class ran out.  With r chunks
+    left at most C(r + m - 1, m - 1) pairs are live, so a path holds at
+    most C(D + m, m) - 1 pairs.  Every call makes the one bulk tau1 scan
+    of the class, and table.stats.bigint_ops counts each lookup by code
+    and each product by pairs.
     """
-    model = table.model
     n = table.n
-    mp1 = model.M + 1
-    mask = model.m - 1
-    lut = model._index_of_chunk
+    mp1 = table.model.M + 1
+    mask = table.model.m - 1
     stats = table.stats
     members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
     path = table._cache.setdefault(("rank", t), [])
@@ -255,6 +285,59 @@ def _count_walk(
     while j >= 0 and not path[j][lo] <= target < path[j][lo + 1]:
         j -= 1
     del path[j + 1:]
+    kept, counts = table._cache.get("walk") or _walk_constants(table)
+    if counts:
+        # by chunk code: rest is class t's code minus the prefix's, and a
+        # prefix with r < n chunks left has counts[r].get(rest, 0) completions
+        ell, _, count, total, start, rest = path[-1] if path else (
+            0, table.num_indices, 0, table.gammas[t], 0,
+            sum(map(int.__mul__, members[0], table.codes)),
+        )
+        total -= count
+        ell >>= (n - start) * mp1
+        save_from = start + (j >= 0)  # a resumed walk's path already holds its start
+        codes = table.chunk_codes
+        for i in range(start, n):
+            r = n - i
+            if i >= save_from and (r <= kept or not total):
+                shift = r * mp1
+                path.append((ell << shift, (ell + 1) << shift, count, count + total, i, rest))
+            if not total:
+                break  # a rank's class ran out: the count is final
+            below = counts[r - 1]
+            if xi is None:
+                down = 2 * (s - count) > total
+                order = range(mask, -1, -1) if down else range(mask + 1)
+                for cx in order:
+                    if cx == order[-1]:
+                        break
+                    acc = below.get(rest - codes[cx], 0)
+                    stats.bigint_ops += 1
+                    if down:
+                        if s > count + total - acc:
+                            count += total - acc
+                            total = acc
+                            break
+                    elif s <= count + acc:
+                        total = acc
+                        break
+                    else:
+                        count += acc
+                    total -= acc
+                rest -= codes[cx]
+            else:
+                cx = (xi >> ((r - 1) * mp1)) & mask
+                for c in range(cx):
+                    acc = below.get(rest - codes[c], 0)
+                    count += acc
+                    if steps:  # a trace's, holding every 1-bit of xi
+                        steps[i * mp1 + mp1 + 1 - (c ^ cx).bit_length()] += acc
+                rest -= codes[cx]
+                total = below.get(rest, 0)
+                stats.bigint_ops += cx + 1
+            ell = (ell << mp1) | cx
+        return ell if xi is None else count + total
+    lut = table.model._index_of_chunk
     # pairs holds (k, q) for every class-t composition k that extends the
     # chunks fixed so far, whose outcome counts are in used; q is the number
     # of ways to fill the r chunks left, the multinomial coefficient of
@@ -264,13 +347,12 @@ def _count_walk(
     # carried k has k >= used.
     ell, _, count, total, start, pairs, used = path[-1] if path else (
         0, table.num_indices, 0, table.gammas[t], 0,
-        list(zip(members, table.coefs[t])), (0,) * model.m,
+        list(zip(members, table.coefs[t])), (0,) * (mask + 1),
     )
     total -= count
     ell >>= (n - start) * mp1
     used = list(used)
     save_from = start + (j >= 0)  # a resumed walk's path already holds its start
-    kept = -(-(n - 1).bit_length() // mp1) + 1  # D, the least d with m^d >= n, plus one
     for i in range(start, n):
         r = n - i
         if i >= save_from and (r <= kept or not pairs):
@@ -326,6 +408,38 @@ def _count_walk(
     return ell if xi is None else count + len(pairs)
 
 
+def _counts_by_code(table: ValueTable) -> bool:
+    """Do table's walks count completions by chunk code?  Yes when
+    (n + 1)(T + 1) <= |K_n|.  N_r has no more codes than N_n, whose codes
+    are the T + 1 classes', so the counts then hold fewer entries than
+    the table has compositions."""
+    return (table.n + 1) * (table.T + 1) <= table.num_compositions
+
+
+def _chunk_counts(codes: Sequence[int], depth: int) -> List[Dict[int, int]]:
+    """N_0 .. N_{depth-1}: N_r maps each code to the number of r-chunk
+    strings whose chunk codes sum to it.  N_0 = {0: 1}, and N_{r+1}(c)
+    is the sum of N_r(c - code) over the chunks' codes."""
+    counts = [{0: 1}]
+    for _ in range(1, depth):
+        grown: Dict[int, int] = {}
+        for c, k in counts[-1].items():
+            for code in codes:
+                grown[c + code] = grown.get(c + code, 0) + k
+        counts.append(grown)
+    return counts
+
+
+def _walk_constants(table: ValueTable) -> Tuple[int, Optional[List[Dict[int, int]]]]:
+    """(D, counts) of table's walks, kept in its cache from its first
+    walk on: D is the least d with m^d >= n, plus one, and counts is
+    N_0 .. N_{n-1} when _counts_by_code admits the table, else None."""
+    kept = -(-(table.n - 1).bit_length() // (table.model.M + 1)) + 1
+    counts = _chunk_counts(table.chunk_codes, table.n) if _counts_by_code(table) else None
+    table._cache["walk"] = kept, counts
+    return kept, counts
+
+
 def _forget_path(table: ValueTable, t: int):
     """Drop class t's checkpoint path, so its next walk starts from the class root."""
     table._cache.pop(("rank", t), None)
@@ -353,7 +467,7 @@ def enum_b(table: ValueTable, t: int, s: int) -> int:
 def _check_s(table: ValueTable, t: int, s: int):
     if type(s) is not int or not 1 <= s <= table.gammas[t]:
         raise DomainError(
-            f"rank {s!r} out of range [1, {table.gammas[t]}] for class {t}"
+            f"rank {shown(s)} out of range [1, {table.gammas[t]}] for class {t}"
         )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import comb, isqrt
 from typing import Iterator, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .exactnum import ExactScalar
 from .indexing import decode_weight_index
 from .outcomes import OutcomeModel
@@ -50,7 +50,7 @@ class LayoutModel:
 
     def _check_offset(self, value: int, top: int, name: str):
         if type(value) is not int or not 1 <= value <= top:
-            raise DomainError(f"{name} {value!r} out of range [1, {top}]")
+            raise DomainError(f"{name} {shown(value)} out of range [1, {shown(top)}]")
 
     def row_block(self, rho: int) -> Tuple[int, int]:
         """(b, r): row rho is the r-th row of block b."""

@@ -43,7 +43,7 @@ from itertools import combinations
 from math import comb, factorial, isqrt, lcm, prod
 from typing import Iterator, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .exactnum import ExactScalar
 from .outcomes import OutcomeModel
 
@@ -101,7 +101,7 @@ def composition_count(n: int, m: int) -> int:
 
 def _check_parts(n: int, m: int):
     if not (type(n) is int and type(m) is int) or m < 1 or n < 0:
-        raise DomainError(f"need m >= 1 parts and n >= 0, got m={m!r}, n={n!r}")
+        raise DomainError(f"need m >= 1 parts and n >= 0, got m={shown(m)}, n={shown(n)}")
 
 
 @dataclass
@@ -218,7 +218,7 @@ class ValueTable:
 
     def _check_class(self, t: int):
         if type(t) is not int or not 0 <= t <= self.T:
-            raise DomainError(f"class index {t!r} out of range [0, {self.T}]")
+            raise DomainError(f"class index {shown(t)} out of range [0, {self.T}]")
 
     def __repr__(self):
         return f"ValueTable(n={self.n}, classes={self.T + 1}, m^n={self.num_indices})"
@@ -232,11 +232,11 @@ def build_value_table(model: OutcomeModel, n: int) -> ValueTable:
     during the build and left as the caller had it.
     """
     if type(n) is not int or n < 1:
-        raise DomainError(f"sum length n must be an integer >= 1, got {n!r}")
+        raise DomainError(f"sum length n must be an integer >= 1, got {shown(n)}")
     width = n * (model.M + 1)
     if width > MAX_WIDTH:
         raise DomainError(
-            f"value table at n = {n} has width n(M+1) = {width}, more than "
+            f"value table at n = {shown(n)} has width n(M+1) = {shown(width)}, more than "
             f"MAX_WIDTH = {MAX_WIDTH}"
         )
     count = composition_count(n, model.m)

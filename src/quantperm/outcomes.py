@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .exactnum import ExactScalar, parse_scalar
 
 Pattern = Tuple[int, ...]
@@ -168,7 +168,7 @@ class OutcomeModel:
     def index_of_chunk(self, chunk: int) -> int:
         """Outcome rank whose pattern has integer value chunk (MSB first)."""
         if type(chunk) is not int or not 0 <= chunk < self.m:
-            raise DomainError(f"chunk value {chunk!r} out of range [0, {self.m})")
+            raise DomainError(f"chunk value {shown(chunk)} out of range [0, {self.m})")
         return self._index_of_chunk[chunk]
 
     def chunk_of_index(self, s: int) -> int:
@@ -180,7 +180,7 @@ class OutcomeModel:
 
     def _check_rank(self, s: int):
         if type(s) is not int or not 1 <= s <= self.m:
-            raise DomainError(f"outcome rank {s!r} out of range [1, {self.m}]")
+            raise DomainError(f"outcome rank {shown(s)} out of range [1, {self.m}]")
 
     def __repr__(self):
         kind = "haar" if self.haar is not None else "manual"

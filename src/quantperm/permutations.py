@@ -50,7 +50,7 @@ from collections import defaultdict
 from math import factorial, prod
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .indexing import (
     _decoded_rows,
     _halves,
@@ -188,12 +188,12 @@ class AdmissiblePermutation:
         """IR(i, ell): outcome rank of summand i at level ell (i is 1-based)."""
         r = self.row(ell)
         if type(i) is not int or not 1 <= i <= self.n:
-            raise DomainError(f"summand index {i!r} out of range [1, {self.n}]")
+            raise DomainError(f"summand index {shown(i)} out of range [1, {self.n}]")
         return r[i - 1]
 
     def __call__(self, ell: int) -> int:
         if type(ell) is not int or not 0 <= ell < len(self.mapping):
-            raise DomainError(f"level index {ell!r} out of range [0, {len(self.mapping)})")
+            raise DomainError(f"level index {shown(ell)} out of range [0, {len(self.mapping)})")
         return self.mapping[ell]
 
     def __len__(self) -> int:

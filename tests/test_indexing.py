@@ -8,6 +8,8 @@ out by hand from the class lists.
 
 import hashlib
 import random
+from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,7 @@ from quantperm import (
     is_star,
     istep,
     iweight,
+    load_model,
     make_admissible,
     multinomial_coefficient,
     ria,
@@ -48,6 +51,7 @@ from quantperm import (
     tau2,
     weight_index_of_bits,
 )
+from quantperm import indexing
 from quantperm.indexing import _forget_path, decoded_vectors, step_classes, weight_classes
 from quantperm.multinomial import composition_count
 from quantperm.permutations import canonical_permutation
@@ -485,6 +489,41 @@ def test_every_integer_check_refuses_a_boolean(tables, case):
         call(builtin_model("A"), tables("A", 3))
 
 
+# every level, rank, class, size and offset check given an int with more
+# decimal digits than str() prints, with B at n = 8
+HUGE = 1 << 20_000
+HUGE_INT_CALLS = {
+    "f_perm": (lambda b, tb: f_perm(tb, HUGE), "level index"),
+    "inv_f": (lambda b, tb: inv_f(tb, HUGE), "level index"),
+    "iweight": (lambda b, tb: iweight(tb, HUGE), "level index"),
+    "istep": (lambda b, tb: istep(tb, HUGE), "level index"),
+    "enum_b": (lambda b, tb: enum_b(tb, 0, HUGE), "rank"),
+    "beta_fast": (lambda b, tb: beta_fast(tb, HUGE, 0), "class index"),
+    "alpha": (lambda b, tb: alpha(tb, 0, HUGE), "cutoff xi"),
+    "gamma_relation-ell": (lambda b, tb: gamma_relation(tb, HUGE, 0), "level index"),
+    "gamma_relation-image": (lambda b, tb: gamma_relation(tb, 0, HUGE), "level index"),
+    "build_value_table": (lambda b, tb: build_value_table(b, HUGE), "MAX_WIDTH"),
+    "build_value_table-negative": (lambda b, tb: build_value_table(b, -HUGE), "sum length"),
+    "composition_count": (lambda b, tb: composition_count(-HUGE, 2), "need m >= 1 parts"),
+    "decode-negative": (lambda b, tb: decode_weight_index(b, 8, -HUGE), "level index"),
+    "decode-n": (lambda b, tb: decode_weight_index(b, -HUGE, 0), "sum length"),
+    "tau2-b": (lambda b, tb: tau2(b, 8, 1, 0, HUGE), "chunk bound"),
+    "chunk": (lambda b, tb: b.index_of_chunk(HUGE), "chunk value"),
+    "outcome-rank": (lambda b, tb: b.outcome(HUGE), "outcome rank"),
+    "layout-offset": (lambda b, tb: LayoutModel(1).entry(2, HUGE, 1), "row offset"),
+    "perm-level": (lambda b, tb: canonical_permutation(tb)(-HUGE), "level index"),
+    "perm-summand": (lambda b, tb: canonical_permutation(tb).entry(HUGE, 0), "summand index"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_INT_CALLS)
+def test_an_int_too_long_to_print_is_a_domain_error(tables, case):
+    call, match = HUGE_INT_CALLS[case]
+    with pytest.raises(DomainError, match=match) as caught:
+        call(builtin_model("B"), tables("B", 8))
+    assert "int of 20001 bits" in str(caught.value)
+
+
 # -- the walks' per-class checkpoint path -------------------------------------
 # Tables are built inside these tests: the session fixture's tables are
 # shared, and their checkpoints depend on which walks ran before.
@@ -550,7 +589,10 @@ def test_resumed_rank_equals_fresh_walk():
         assert resumed[1] >= 195 and resumed[2] > 50, (name, resumed)
 
 
-def test_unrank_and_trace_leave_the_fresh_rank_checkpoint():
+def test_unrank_and_trace_leave_the_fresh_rank_checkpoint(monkeypatch):
+    # B at n = 32 counts by chunk code; its pairs state is checked here,
+    # and its code state below
+    _force(monkeypatch, False)
     table = build_value_table(builtin_model("B"), 32)
     rng = random.Random(7)
     costs = [0, 0]
@@ -587,6 +629,42 @@ def test_unrank_and_trace_leave_the_fresh_rank_checkpoint():
     assert costs[0] < costs[1], costs
 
 
+def test_unrank_and_trace_leave_the_fresh_rank_code_state():
+    # the same walks counting by chunk code: a state holds rest, class t's
+    # code minus its prefix's, in place of the pairs and used
+    table = build_value_table(builtin_model("B"), 32)
+    n, mask = table.n, table.model.m - 1
+    rng = random.Random(7)
+    for _ in range(50):
+        t = rng.randrange(table.T + 1)
+        s = 1 + rng.randrange(table.gammas[t])
+        ell = enum_b(table, t, s)
+        # on entering the last chunk, rest is the code of ell's last chunk
+        record = _record(table, t)
+        _, _, count, end, depth, rest = record
+        assert depth == n - 1 and count < s <= end
+        assert rest == table.chunk_codes[ell & mask]
+        # a fresh rank makes one lookup per chunk value below each chunk
+        # of ell, and one for the chunk itself, and leaves the same state
+        table._cache.pop(("rank", t))
+        before = table.stats.bigint_ops
+        assert beta_fast(table, t, ell) == s
+        fresh = table.stats.bigint_ops - before
+        chunks = [(ell >> (i * (table.model.M + 1))) & mask for i in range(n)]
+        assert fresh == sum(chunks) + n
+        assert _record(table, t) == record
+        # a resumed rank makes only the last chunk's lookups
+        enum_b(table, t, s)
+        before = table.stats.bigint_ops
+        assert beta_fast(table, t, ell) == s
+        assert table.stats.bigint_ops - before == (ell & mask) + 1
+        # the trace walks from the class root and leaves the same state
+        before = table.stats.bigint_ops
+        assert beta_fast_trace(table, t, ell).total == s
+        assert table.stats.bigint_ops - before == fresh
+        assert _record(table, t) == record
+
+
 def test_trace_leaves_the_path_of_a_rank_from_the_root(model_a, model_b, model_c):
     # a trace is a rank from the class root that files its counts: over
     # whatever path it finds, it leaves the states a root-started
@@ -609,8 +687,9 @@ def test_trace_leaves_the_path_of_a_rank_from_the_root(model_a, model_b, model_c
             assert beta_fast_trace(table, t, xi).total == count
             assert table.stats.bigint_ops - before == cost, (n, t, xi)
             assert table._cache[("rank", t)] == path, (n, t, xi)
-            # the class ran out above the last D chunks, whose states are kept
-            ran_out += len(path) == 1 and not path[0][5] and path[0][4] < n - kept
+            # the class ran out (an empty rank block) above the last D
+            # chunks, whose states are kept
+            ran_out += len(path) == 1 and path[0][2] == path[0][3] and path[0][4] < n - kept
         assert ran_out > 50, (n, ran_out)
 
 
@@ -661,7 +740,7 @@ def test_checkpoint_paths_stay_bounded():
             depths = [state[4] for state in path]
             assert len(path) <= bound + 1
             assert depths == sorted(set(depths))
-            ran_out = len(path) == 1 and not path[0][5]
+            ran_out = len(path) == 1 and path[0][2] == path[0][3]  # an empty rank block
             assert ran_out or all(i >= n - bound for i in depths), depths
 
 
@@ -671,7 +750,7 @@ def test_checkpoint_paths_stay_bounded():
 FRESH_WALK_RESULTS_DIGEST = "40d9e56490cb1bd7e3e875c0eca4d890df21c3ba7a8e04bbd85dabd3dee149c2"
 
 # the same records with each call's bigint_ops delta appended
-FRESH_WALKS_DIGEST = "9827621cd9b28f79ac517c0830ab7a9e80e2ca5cac257bcf2e62f33c36e2cc91"
+FRESH_WALKS_DIGEST = "ab5b9cac90c537c76f0239f3bbb4701533e756f57b7ba6b0189416944aa8bf19"
 
 
 def test_fresh_walks_digest_pinned(tables):
@@ -696,9 +775,10 @@ def test_fresh_walks_digest_pinned(tables):
 
 
 # bigint_ops of f_perm at 200 seeded levels of B at n = 32, each walk from
-# chunk 1: an unrank scans each chunk's values from the end of its block
-# nearer the rank, so a scan that only runs upward raises the count
-FRESH_UNRANK_BIGINT_OPS = 500374
+# chunk 1: B at n = 32 counts by chunk code, one lookup per chunk value
+# scanned, and an unrank scans each chunk's values from the end of its
+# block nearer the rank, so a scan that only runs upward raises the count
+FRESH_UNRANK_BIGINT_OPS = 10341
 
 
 def test_fresh_unrank_bigint_ops_pinned(tables):
@@ -726,3 +806,106 @@ def test_fresh_unrank_at_block_ends_and_direction_switch(tables, name, n):
             ell = enum_b(table, t, s)
             assert iweight(table, ell) == t, (t, s)
             assert beta_fast(table, t, ell) == s, (t, s)
+
+
+# -- counting completions by chunk code ---------------------------------------
+# A table decides on its first walk whether its walks count by chunk code
+# or by pairs (indexing._counts_by_code), so a test that forces either
+# builds its own tables, never the session fixture's.
+
+HAAR_M2 = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "haar_m2.json"
+
+
+def _force(monkeypatch, by_code):
+    """Tables that have not walked yet count by chunk code (True) or by pairs."""
+    monkeypatch.setattr(indexing, "_counts_by_code", lambda table: by_code)
+
+
+def test_the_rule_admits_b_from_n_13_and_no_a_c_or_haar_table(tables):
+    # (n + 1)(T + 1) <= |K_n|: A has one class per composition, C nearly
+    # so, and haar_m2 about half as many classes as compositions
+    for n in range(1, 257):
+        assert not indexing._counts_by_code(build_value_table(builtin_model("A"), n)), n
+    for n in range(1, 13):
+        assert not indexing._counts_by_code(tables("C", n)), n
+    haar = load_model(str(HAAR_M2))
+    for n in range(1, 11):
+        assert not indexing._counts_by_code(build_value_table(haar, n)), n
+    for n in list(range(1, 41)) + [64]:
+        assert indexing._counts_by_code(build_value_table(builtin_model("B"), n)) == (n >= 13), n
+
+
+def test_chunk_counts_one_step_further_are_the_gammas(tables):
+    # N_n counts the n-chunk strings by their summed code: gamma_t at
+    # class t's code, on every table the test suite builds in process
+    haar = load_model(str(HAAR_M2))
+    cases = [tables(name, n) for name, top in (("A", 24), ("B", 16), ("C", 12)) for n in range(1, top + 1)]
+    cases += [tables(name, n) for name, n in (("A", 40), ("A", 64), ("A", 256), ("B", 32), ("B", 64))]
+    cases += [build_value_table(haar, n) for n in range(1, 11)]
+    for table in cases:
+        counts = indexing._chunk_counts(table.chunk_codes, table.n + 1)
+        assert len(counts) == table.n + 1 and counts[0] == {0: 1}
+        want = {code: table.gammas[t] for code, t in table._class_by_code.items()}
+        assert counts[table.n] == want, table
+
+
+def test_counting_by_code_on_explicit_tables(monkeypatch):
+    # every explicit-range table forced to count by chunk code, against
+    # the explicit F_n, which lists each IB_{n,t} in level order from
+    # SMC(t) on; every (t, s) and (t, xi) up to width 12, seeded ones
+    # beyond.  Up to width 16 beta is the weight_classes count, past it
+    # the position of xi in class t's block of F_n
+    _force(monkeypatch, True)
+    for name, n_top in (("A", 24), ("B", 12)):
+        for n in range(1, n_top + 1):
+            table = build_value_table(builtin_model(name), n)
+            canon = canonical_permutation(table).mapping
+            rng = random.Random(n)
+            if table.width <= 12:
+                ranks = [(t, s) for t in range(table.T + 1) for s in range(1, table.gammas[t] + 1)]
+                levels = range(table.num_indices)
+            else:
+                ranks = [(t, 1 + rng.randrange(table.gammas[t])) for t in rng.choices(range(table.T + 1), k=150)]
+                levels = sorted(rng.randrange(table.num_indices) for _ in range(60))
+            for t, s in ranks:
+                assert enum_b(table, t, s) == canon[table.smc[t] + s - 1], (name, n, t, s)
+            if table.width <= 16:
+                seen = [0] * (table.T + 1)
+                classes = weight_classes(table)
+                want, at = {}, 0
+                for xi in levels:
+                    for level in range(at, xi + 1):
+                        seen[classes[level]] += 1
+                    at = xi + 1
+                    want[xi] = list(seen)
+            else:
+                blocks = [canon[table.smc[t]:table.smc[t + 1]] for t in range(table.T + 1)]
+                want = {xi: [bisect_right(b, xi) for b in blocks] for xi in levels}
+            for xi in levels:
+                for t in range(table.T + 1):
+                    assert beta_fast(table, t, xi) == want[xi][t], (name, n, t, xi)
+            assert table._cache["walk"][1] is not None
+
+
+@pytest.mark.parametrize("n, levels", [(32, 100), (64, 30)])
+def test_counting_by_pairs_and_by_code_agree(monkeypatch, n, levels):
+    # B at these widths counts by chunk code; the same seeded ranks,
+    # traces and unranks on a table forced to count by pairs return the
+    # same, at the same tau1 queries
+    by_code, by_pairs = (build_value_table(builtin_model("B"), n) for _ in range(2))
+    monkeypatch.setattr(indexing, "_counts_by_code", lambda table: table is by_code)
+    rng = random.Random(n)
+    for j in range(levels):
+        xi = rng.randrange(by_code.num_indices)
+        t = iweight(by_code, xi) if j % 2 else rng.randrange(by_code.T + 1)
+        s = 1 + rng.randrange(by_code.gammas[t])
+        got = []
+        for table in (by_code, by_pairs):
+            before = table.stats.tau1_queries
+            walk = beta_fast_trace(table, t, xi)
+            got.append((
+                beta_fast(table, t, xi), walk.total, walk.self_term, walk.steps,
+                enum_b(table, t, s), table.stats.tau1_queries - before,
+            ))
+        assert got[0] == got[1], (n, t, xi, s)
+    assert by_code._cache["walk"][1] is not None and by_pairs._cache["walk"][1] is None

@@ -1,5 +1,6 @@
 """Wide tables in bounded memory: the M = 2 Haar model at width 63, the
-explicit layer of A at width 22, and a permutation file at width 20.
+explicit layer of A at width 22, a permutation file at width 20, and the
+lazy walks of B at width 380.
 
 perfbench/inputs/haar_m2.json at n = 21 has 1,184,040 compositions in
 618,391 classes, the largest table MAX_COMPOSITIONS admits for M = 2.
@@ -37,10 +38,11 @@ def peak_kb():
 CHILD = """
 import random, sys, time
 from quantperm import build_value_table, f_perm, gamma_relation, inv_f, load_model
+from quantperm.indexing import _counts_by_code
 
 t0 = time.perf_counter()
 table = build_value_table(load_model(sys.argv[1]), 21)
-assert table.width == 63
+assert table.width == 63 and not _counts_by_code(table)
 assert sum(map(len, table.members)) == 1_184_040 and table.T + 1 == 618_391
 assert table.smc[-1] == sum(table.gammas) == 8**21
 rng = random.Random(63)
@@ -69,6 +71,40 @@ from quantperm.cli import main
 
 assert main(["verify", "--model", "builtin:A", "--n", "20", "--perm", sys.argv[1]]) == 0
 print(peak_kb())
+"""
+
+
+B_190 = """
+import random
+from quantperm import beta_fast, beta_fast_trace, build_value_table, builtin_model, enum_b, f_perm
+from quantperm import indexing
+
+table = build_value_table(builtin_model("B"), 190)
+assert indexing._counts_by_code(table)
+rng = random.Random(190)
+most = 0
+for _ in range(50):
+    ell = rng.randrange(table.num_indices)
+    indexing._forget_path(table, indexing.istep(table, ell))
+    before = table.stats.bigint_ops
+    f_perm(table, ell)
+    most = max(most, table.stats.bigint_ops - before)
+walks = []
+for _ in range(4):
+    xi = rng.randrange(table.num_indices)
+    t = indexing.iweight(table, xi)
+    walks.append((t, xi, 1 + rng.randrange(table.gammas[t])))
+got = []
+for by_code in (True, False):
+    # the table decides on its next walk
+    table._cache.clear()
+    indexing._counts_by_code = lambda table: by_code
+    got.append([
+        (beta_fast(table, t, xi), beta_fast_trace(table, t, xi), enum_b(table, t, s))
+        for t, xi, s in walks
+    ])
+assert got[0] == got[1]
+print(most, (table.model.m - 1) * table.n)
 """
 
 
@@ -118,3 +154,12 @@ def test_one_past_the_budget_is_refused(time_limit):
     with time_limit(1):
         with pytest.raises(DomainError, match="MAX_COMPOSITIONS"):
             build_value_table(load_model(str(HAAR_M2)), 22)
+
+
+def test_fresh_unrank_at_width_380_counts_by_code():
+    # B at n = 190, the widest B that MAX_COMPOSITIONS admits, counts by
+    # chunk code: a fresh f_perm makes at most m - 1 lookups per chunk,
+    # and ranks, traces and unranks agree with the table forced to count
+    # by pairs
+    most, bound = map(int, _child(B_190))
+    assert 0 < most <= bound
