@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .indexing import (
     EXPLICIT_WIDTH_LIMIT,
     _forget_path,
@@ -85,9 +85,9 @@ def bench_scaling(
     if not isinstance(n_list, Sequence) or not n_list or any(
         type(n) is not int or n < 1 for n in n_list
     ):
-        raise DomainError(f"n_list must be non-empty positive integers, got {n_list!r}")
+        raise DomainError(f"n_list must be non-empty positive integers, got {shown(n_list)}")
     if type(samples_per_n) is not int or samples_per_n < 1:
-        raise DomainError(f"samples_per_n must be an integer >= 1, got {samples_per_n!r}")
+        raise DomainError(f"samples_per_n must be an integer >= 1, got {shown(samples_per_n)}")
     rng = random.Random(seed)
     records: List[BenchRecord] = []
     means: List[Tuple[int, float]] = []
@@ -242,7 +242,7 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
 def selftest(model: OutcomeModel, n_max: int, seed: int = 0) -> SelfTestReport:
     """Run every invariant suite exhaustively for n = 1..n_max."""
     if type(n_max) is not int or n_max < 1:
-        raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
+        raise DomainError(f"n_max must be an integer >= 1, got {shown(n_max)}")
     if n_max * (model.M + 1) > EXPLICIT_WIDTH_LIMIT:
         raise DomainError(
             f"selftest needs n_max(M+1) <= {EXPLICIT_WIDTH_LIMIT}, "

@@ -12,8 +12,12 @@ class DomainError(ValueError):
 
 def shown(x) -> str:
     """repr(x) for a message; an int with more digits than str() prints
-    (past sys.get_int_max_str_digits()) is shown by its sign and bit count."""
+    (past sys.get_int_max_str_digits()) is shown by its sign and bit count,
+    also as an entry of a tuple or list."""
     try:
         return repr(x)
     except ValueError:
+        if isinstance(x, (tuple, list)):
+            left, right = "[]" if isinstance(x, list) else "()"
+            return left + ", ".join(map(shown, x)) + right
         return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"

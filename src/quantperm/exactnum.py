@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import sqrt
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 Rational = Union[int, Fraction]
 
@@ -59,7 +59,7 @@ class ExactScalar:
             b = Fraction(b)
         if type(d) is not int or d > MAX_RADICAND or not _is_square_free(d):
             raise DomainError(
-                f"radicand must be a square-free integer in [0, {MAX_RADICAND}], got {d!r}"
+                f"radicand must be a square-free integer in [0, {MAX_RADICAND}], got {shown(d)}"
             )
         if d == 1 and b:
             a, b = a + b, Fraction(0)

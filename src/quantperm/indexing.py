@@ -40,21 +40,28 @@ share of the block holds s; the last value scanned takes what is left.
 So both directions hold the same state at every depth.
 
 A prefix's completions are counted one of two ways, chosen per table on
-its first walk by one rule, (n + 1)(T + 1) <= |K_n| (_counts_by_code):
+its first walk by one rule, sum_{r<n} min(T + 1, |K_r|) <= |K_n|
+(_counts_by_code):
 
 * By chunk code.  A class-t prefix with r chunks left has N_r(rest)
   completions: the r-chunk strings whose chunk codes sum to rest, class
   t's code minus the prefix's.  N_0 = {0: 1} and N_{r+1}(c) sums
   N_r(c - code) over the chunk values' codes, so N_0 .. N_{n-1} are
-  built once, with fewer entries than K_n has compositions under the
-  rule, and a chunk value costs one dict lookup.  The rule admits B
-  from n = 13 on, whose 3n + 1 classes are few and large.
+  built once and a chunk value costs one dict lookup.  The rule's left
+  side bounds their entries: |N_r| <= T + 1, as adding n - r copies of
+  the least chunk code maps the r-chunk code sums one-to-one into the
+  n-chunk ones, and |N_r| <= |K_r|, as a string's code sum depends only
+  on its composition.  So under the rule the counts hold no more
+  entries than K_n has compositions.  It admits B at every n (3n + 1
+  classes, few and large), A to n = 2, the irrational test model C to
+  n = 4 and the M = 2 Haar model of perfbench/inputs to n = 8.
 * By pairs.  The walk carries every class-t composition that still
   extends the prefix with its number of completions, and a chunk
   value's completions are a sum over them.  Where values rarely
-  collide, as for A (one composition a class) and the M = 2 Haar model
-  of perfbench/inputs (about two), classes are small, and the rule
-  admits none of those tables.
+  collide the classes are small, and the rule sends those tables here:
+  A from n = 3 (one composition a class, while its counts would hold
+  n(n + 1)/2 entries against n + 1 compositions), C from n = 5 and the
+  Haar model from n = 9.
 
 The class is known only through the tau1 oracle: each beta_fast or
 enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
@@ -87,7 +94,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, shown
 from .exactnum import ExactScalar
-from .multinomial import ValueTable
+from .multinomial import ValueTable, composition_count
 from .outcomes import OutcomeModel
 
 
@@ -392,17 +399,26 @@ def _count_walk(
             pairs = [(k, v // r) for (k, _), v in zip(pairs, vals) if v]
         else:
             cx = (xi >> ((r - 1) * mp1)) & mask
+            # plain loops, not comprehensions: pairs is short here, often
+            # one or two, and each comprehension runs in a frame of its own
             for c in range(cx):
                 s1 = lut[c] - 1
                 u = used[s1]
-                acc = sum([q * (k[s1] - u) for k, q in pairs]) // r
+                acc = 0
+                for k, q in pairs:
+                    acc += q * (k[s1] - u)
+                acc //= r
                 stats.bigint_ops += len(pairs)
                 count += acc
                 if steps:  # a trace's, holding every 1-bit of xi
                     steps[i * mp1 + mp1 + 1 - (c ^ cx).bit_length()] += acc
             s1 = lut[cx] - 1
             u = used[s1]
-            pairs = [(k, q * (k[s1] - u) // r) for k, q in pairs if k[s1] > u]
+            live = []
+            for k, q in pairs:
+                if k[s1] > u:
+                    live.append((k, q * (k[s1] - u) // r))
+            pairs = live
         used[s1] = u + 1
         ell = (ell << mp1) | cx
     return ell if xi is None else count + len(pairs)
@@ -410,10 +426,17 @@ def _count_walk(
 
 def _counts_by_code(table: ValueTable) -> bool:
     """Do table's walks count completions by chunk code?  Yes when
-    (n + 1)(T + 1) <= |K_n|.  N_r has no more codes than N_n, whose codes
-    are the T + 1 classes', so the counts then hold fewer entries than
-    the table has compositions."""
-    return (table.n + 1) * (table.T + 1) <= table.num_compositions
+    sum_{r<n} min(T + 1, |K_r|) <= |K_n|, which bounds the entries of
+    N_0 .. N_{n-1}, so the counts then hold no more entries than the
+    table has compositions.  |N_r| <= T + 1: adding n - r copies of the
+    least chunk code maps the r-chunk code sums one-to-one into the
+    n-chunk ones, the T + 1 classes' codes.  |N_r| <= |K_r|: an r-chunk
+    string's code sum depends only on its composition.  The rule admits
+    B at every n, A to n = 2, C to n = 4 and the M = 2 Haar model of
+    perfbench/inputs to n = 8."""
+    m, classes = table.model.m, table.T + 1
+    bound = sum(min(classes, composition_count(r, m)) for r in range(table.n))
+    return bound <= table.num_compositions
 
 
 def _chunk_counts(codes: Sequence[int], depth: int) -> List[Dict[int, int]]:

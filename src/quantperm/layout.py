@@ -41,12 +41,12 @@ class LayoutModel:
 
     def __init__(self, M: int):
         if type(M) is not int or M < 0:
-            raise DomainError(f"M must be an integer >= 0, got {M!r}")
+            raise DomainError(f"M must be an integer >= 0, got {shown(M)}")
         self.M = M
 
     def _check_pos(self, value: int, name: str):
         if type(value) is not int or value < 1:
-            raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+            raise DomainError(f"{name} must be an integer >= 1, got {shown(value)}")
 
     def _check_offset(self, value: int, top: int, name: str):
         if type(value) is not int or not 1 <= value <= top:
@@ -108,7 +108,7 @@ class LayoutModel:
     def _jbar_coords(self, n: int) -> Iterator[int]:
         """The coordinates of Jbar^n, ascending, made one at a time."""
         if type(n) is not int or n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {n!r}")
+            raise DomainError(f"n must be an integer >= 1, got {shown(n)}")
         for i in range(1, n + 1):
             yield from self.jbar_set(i)
 
@@ -133,10 +133,10 @@ class BitString:
 
     def bit(self, k: int) -> int:
         if type(k) is not int or k < 1:
-            raise DomainError(f"bit position must be an integer >= 1, got {k!r}")
+            raise DomainError(f"bit position must be an integer >= 1, got {shown(k)}")
         if k > len(self.bits):
             raise DomainError(
-                f"insufficient depth: need bit {k}, have {len(self.bits)}"
+                f"insufficient depth: need bit {shown(k)}, have {len(self.bits)}"
             )
         return self.bits[k - 1]
 

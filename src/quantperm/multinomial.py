@@ -67,11 +67,11 @@ def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
     """n! / (k_1! ... k_m!) for a composition k of n."""
     key = tuple(k)
     if type(n) is not int:
-        raise DomainError(f"sum length n must be an integer, got {n!r}")
+        raise DomainError(f"sum length n must be an integer, got {shown(n)}")
     if any(type(x) is not int or x < 0 for x in key):
-        raise DomainError(f"composition entries must be integers >= 0, got {key!r}")
+        raise DomainError(f"composition entries must be integers >= 0, got {shown(key)}")
     if sum(key) != n:
-        raise DomainError(f"composition {key!r} sums to {sum(key)}, expected {n}")
+        raise DomainError(f"composition {shown(key)} sums to {shown(sum(key))}, expected {shown(n)}")
     return factorial(n) // prod(factorial(x) for x in key)
 
 
@@ -199,7 +199,7 @@ class ValueTable:
             or sum(key) != self.n
         ):
             raise DomainError(
-                f"{key!r} is not a composition of {self.n} into {self.model.m} parts"
+                f"{shown(key)} is not a composition of {self.n} into {self.model.m} parts"
             )
         return self._class_by_code[sum(map(int.__mul__, key, self.codes))]
 

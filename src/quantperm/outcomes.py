@@ -50,7 +50,7 @@ class HaarSpec:
 
     def __post_init__(self):
         if type(self.M) is not int or self.M < 0:  # bool is an int subclass
-            raise DomainError(f"truncation depth must be an integer >= 0, got {self.M!r}")
+            raise DomainError(f"truncation depth must be an integer >= 0, got {shown(self.M)}")
         # count first, without forming 2^(M+1): the key set below has
         # 2^(M+1) - 1 entries, and M comes from outside the program
         size = len(self.coeffs)
@@ -228,7 +228,7 @@ def build_manual(
 ) -> OutcomeModel:
     """Build a model from explicit (pattern, value) pairs."""
     if type(M) is not int or M < 0:
-        raise DomainError(f"M must be an integer >= 0, got {M!r}")
+        raise DomainError(f"M must be an integer >= 0, got {shown(M)}")
     try:
         pairs = [(p, v) for p, v in pairs]
     except (TypeError, ValueError):
@@ -315,13 +315,13 @@ def model_from_json(doc) -> OutcomeModel:
             raise DomainError(f"model document missing field {field!r}")
     M = doc["M"]
     if type(M) is not int or M < 0:  # JSON true is not 1
-        raise DomainError(f"field 'M' must be an integer >= 0, got {M!r}")
+        raise DomainError(f"field 'M' must be an integer >= 0, got {shown(M)}")
     strict = doc["strict"]
     if not isinstance(strict, bool):
         raise DomainError(f"field 'strict' must be a boolean, got {strict!r}")
     d = doc.get("d", 1)
     if type(d) is not int:
-        raise DomainError(f"field 'd' must be an integer, got {d!r}")
+        raise DomainError(f"field 'd' must be an integer, got {shown(d)}")
     if ("outcomes" in doc) == ("haar" in doc):
         raise DomainError("model document needs exactly one of 'outcomes' or 'haar'")
     if "haar" in doc:

@@ -168,7 +168,7 @@ class AdmissiblePermutation:
                 ranks = ()  # refused below, as n >= 1
             if len(ranks) != n:
                 raise DomainError(
-                    f"row {ell} is {row!r}, not {n} outcome ranks in [1, {model.m}]"
+                    f"row {ell} is {shown(row)}, not {n} outcome ranks in [1, {model.m}]"
                 )
             levels.append(level)
         return cls(table, levels)
@@ -230,7 +230,7 @@ def make_admissible(table: ValueTable, block_perms) -> AdmissiblePermutation:
             sorted(ranks) != list(range(1, g + 1))
         ):
             raise DomainError(
-                f"block {t} must be a permutation of 1..{g}, got {b!r}"
+                f"block {t} must be a permutation of 1..{g}, got {shown(b)}"
             )
     canon = _canonical_mapping(table)
     smc = table.smc

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .multinomial import ValueTable
 from .permutations import AdmissiblePermutation, PermLike, admissibility_failure, as_permutation
 
@@ -113,7 +113,7 @@ def clt_table(table: ValueTable, grid_size: Optional[int] = None) -> CltResult:
     grid_size, an int >= 1, subsamples the rows to at most that many.
     """
     if grid_size is not None and (type(grid_size) is not int or grid_size < 1):
-        raise DomainError(f"grid size must be an integer >= 1, got {grid_size!r}")
+        raise DomainError(f"grid size must be an integer >= 1, got {shown(grid_size)}")
     var = float(table.model.variance)
     if var <= 0.0:
         raise DomainError("clt comparison needs a model with positive variance")

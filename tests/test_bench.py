@@ -98,7 +98,7 @@ def test_selftest_passes():
 # bigint_ops of the sweep workload, selftest of B to n_max = 5 and of A to
 # n_max = 10: each walk resumes from its class's checkpoint path, so a
 # lost resumption raises the count
-SWEEP_BIGINT_OPS = 65555
+SWEEP_BIGINT_OPS = 63752
 
 
 def test_sweep_bigint_ops_pinned(monkeypatch):

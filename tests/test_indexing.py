@@ -524,6 +524,32 @@ def test_an_int_too_long_to_print_is_a_domain_error(tables, case):
     assert "int of 20001 bits" in str(caught.value)
 
 
+# every other message that shows an int the caller gave, with A at n = 3;
+# a composition is shown entry by entry
+HUGE_INT_MESSAGES = {
+    "layout-M": (lambda ta: LayoutModel(-HUGE), "M must be"),
+    "layout-row": (lambda ta: LayoutModel(1).row_block(-HUGE), "row index"),
+    "layout-jbar": (lambda ta: LayoutModel(1).jbar_union(-HUGE), "n must be"),
+    "bit-position": (lambda ta: BitString([1]).bit(-HUGE), "bit position"),
+    "bit-depth": (lambda ta: BitString([1]).bit(HUGE), "insufficient depth"),
+    "clt-grid": (lambda ta: clt_table(ta, -HUGE), "grid size"),
+    "selftest": (lambda ta: selftest(ta.model, -HUGE), "n_max"),
+    "multinomial-entry": (lambda ta: multinomial_coefficient(2, (HUGE, 2 - HUGE)), "entries"),
+    "multinomial-sum": (lambda ta: multinomial_coefficient(2, (HUGE, 0)), "sums to"),
+    "multinomial-n": (lambda ta: multinomial_coefficient(HUGE, (1, 1)), "expected"),
+    "class_of": (lambda ta: ta.class_of((HUGE, 3 - HUGE)), "not a composition"),
+    "from_rows": (lambda ta: AdmissiblePermutation.from_rows(ta, [(HUGE, 1, 1)] * 8), "row 0"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_INT_MESSAGES)
+def test_a_huge_int_in_any_message_is_a_domain_error(tables, case):
+    call, match = HUGE_INT_MESSAGES[case]
+    with pytest.raises(DomainError, match=match) as caught:
+        call(tables("A", 3))
+    assert "int of 20001 bits" in str(caught.value)
+
+
 # -- the walks' per-class checkpoint path -------------------------------------
 # Tables are built inside these tests: the session fixture's tables are
 # shared, and their checkpoints depend on which walks ran before.
@@ -821,18 +847,24 @@ def _force(monkeypatch, by_code):
     monkeypatch.setattr(indexing, "_counts_by_code", lambda table: by_code)
 
 
-def test_the_rule_admits_b_from_n_13_and_no_a_c_or_haar_table(tables):
-    # (n + 1)(T + 1) <= |K_n|: A has one class per composition, C nearly
-    # so, and haar_m2 about half as many classes as compositions
-    for n in range(1, 257):
-        assert not indexing._counts_by_code(build_value_table(builtin_model("A"), n)), n
-    for n in range(1, 13):
-        assert not indexing._counts_by_code(tables("C", n)), n
+def test_the_rule_admits_every_b_and_small_a_c_and_haar_tables(tables):
+    # sum_{r<n} min(T + 1, |K_r|) <= |K_n| bounds the entries of N_0 ..
+    # N_{n-1} by what K_n holds.  A's counts hold n(n + 1)/2 entries
+    # against n + 1 compositions, so only A n <= 2 passes; C passes to
+    # n = 4 and haar_m2 to n = 8, and haar_m2 n = 21 is refused in
+    # tests/test_wide_tables.py
     haar = load_model(str(HAAR_M2))
-    for n in range(1, 11):
-        assert not indexing._counts_by_code(build_value_table(haar, n)), n
-    for n in list(range(1, 41)) + [64]:
-        assert indexing._counts_by_code(build_value_table(builtin_model("B"), n)) == (n >= 13), n
+    cases = [(build_value_table(builtin_model("A"), n), n <= 2) for n in range(1, 257)]
+    cases += [(tables("C", n), n <= 4) for n in range(1, 13)]
+    cases += [(build_value_table(haar, n), n <= 8) for n in range(1, 11)]
+    cases += [(build_value_table(builtin_model("B"), n), True) for n in list(range(1, 41)) + [64]]
+    for table, admitted in cases:
+        assert indexing._counts_by_code(table) == admitted, (table.model.m, table.n)
+        if admitted:
+            m, classes = table.model.m, table.T + 1
+            bound = sum(min(classes, composition_count(r, m)) for r in range(table.n))
+            counts = indexing._chunk_counts(table.chunk_codes, table.n)
+            assert sum(map(len, counts)) <= bound <= table.num_compositions, (m, table.n)
 
 
 def test_chunk_counts_one_step_further_are_the_gammas(tables):
@@ -849,13 +881,16 @@ def test_chunk_counts_one_step_further_are_the_gammas(tables):
         assert counts[table.n] == want, table
 
 
-def test_counting_by_code_on_explicit_tables(monkeypatch):
-    # every explicit-range table forced to count by chunk code, against
-    # the explicit F_n, which lists each IB_{n,t} in level order from
-    # SMC(t) on; every (t, s) and (t, xi) up to width 12, seeded ones
-    # beyond.  Up to width 16 beta is the weight_classes count, past it
-    # the position of xi in class t's block of F_n
-    _force(monkeypatch, True)
+@pytest.mark.parametrize("by_code", [True, False], ids=["by_code", "by_pairs"])
+def test_counting_on_explicit_tables(monkeypatch, by_code):
+    # every explicit-range table forced to count by chunk code, or by
+    # pairs, against the explicit F_n, which lists each IB_{n,t} in level
+    # order from SMC(t) on; every (t, s) and (t, xi) up to width 12,
+    # seeded ones beyond.  Up to width 16 beta is the weight_classes
+    # count, past it the position of xi in class t's block of F_n.  The
+    # rule sends B to the code walk, so this is where the pairs walk is
+    # checked on classes of many compositions
+    _force(monkeypatch, by_code)
     for name, n_top in (("A", 24), ("B", 12)):
         for n in range(1, n_top + 1):
             table = build_value_table(builtin_model(name), n)
@@ -884,7 +919,7 @@ def test_counting_by_code_on_explicit_tables(monkeypatch):
             for xi in levels:
                 for t in range(table.T + 1):
                     assert beta_fast(table, t, xi) == want[xi][t], (name, n, t, xi)
-            assert table._cache["walk"][1] is not None
+            assert (table._cache["walk"][1] is not None) == by_code
 
 
 @pytest.mark.parametrize("n, levels", [(32, 100), (64, 30)])
