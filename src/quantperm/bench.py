@@ -64,7 +64,7 @@ def fit_loglog_slope(points: Sequence[Tuple[float, float]]) -> float:
     if len({x for x, _ in points}) < 2:
         raise DomainError("slope fit needs points at two or more distinct x")
     if any(not (x > 0 and y > 0) for x, y in points):
-        raise DomainError(f"slope fit needs x > 0 and y > 0, got {list(points)!r}")
+        raise DomainError(f"slope fit needs x > 0 and y > 0, got {shown(list(points))}")
     xs = [math.log(x) for x, _ in points]
     ys = [math.log(y) for _, y in points]
     mx = sum(xs) / len(xs)

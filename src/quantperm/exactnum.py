@@ -235,7 +235,7 @@ def parse_scalar(text: str, d: int | None = None) -> ExactScalar:
     it and the result carries that radicand even when no radical occurs.
     """
     if not isinstance(text, str) or not text.strip():
-        raise DomainError(f"empty scalar text {text!r}")
+        raise DomainError(f"empty scalar text {shown(text)}")
     text = text.strip()
     a = Fraction(0)
     b = Fraction(0)

@@ -30,14 +30,12 @@ it is refused above EXPLICIT_WIDTH_LIMIT like every explicit map.
 beta_fast ranks xi in the counting loop, and enum_b unranks s in the
 same loop: ranking and unranking multiset permutations are one descent
 run in two directions.  The loop fixes the chunks one at a time, most
-significant first, and keeps the number of class-t completions of the
-fixed prefix.  Ranking takes the next chunk from xi, and one pass adds
-the class-t completions of every chunk value below it to one running
-count.  Unranking also carries the size of the prefix's block of
-class-t ranks.  It scans the chunk values from the end of that block
-nearer s, from 0 up or from m - 1 down, and stops at the value whose
-share of the block holds s; the last value scanned takes what is left.
-So both directions hold the same state at every depth.
+significant first, and keeps the prefix's block of class-t ranks
+(count, count + total], total being the class-t completions of the
+fixed prefix.  Ranking takes the next chunk from xi and adds the
+completions of every chunk value below it to count; unranking takes
+the chunk value whose share of the block holds s.  So both directions
+hold the same state at every depth.
 
 A prefix's completions are counted one of two ways, chosen per table on
 its first walk by one rule, sum_{r<n} min(T + 1, |K_r|) <= |K_n|
@@ -46,22 +44,30 @@ its first walk by one rule, sum_{r<n} min(T + 1, |K_r|) <= |K_n|
 * By chunk code.  A class-t prefix with r chunks left has N_r(rest)
   completions: the r-chunk strings whose chunk codes sum to rest, class
   t's code minus the prefix's.  N_0 = {0: 1} and N_{r+1}(c) sums
-  N_r(c - code) over the chunk values' codes, so N_0 .. N_{n-1} are
-  built once and a chunk value costs one dict lookup.  The rule's left
-  side bounds their entries: |N_r| <= T + 1, as adding n - r copies of
-  the least chunk code maps the r-chunk code sums one-to-one into the
-  n-chunk ones, and |N_r| <= |K_r|, as a string's code sum depends only
-  on its composition.  So under the rule the counts hold no more
-  entries than K_n has compositions.  It admits B at every n (3n + 1
-  classes, few and large), A to n = 2, the irrational test model C to
-  n = 4 and the M = 2 Haar model of perfbench/inputs to n = 8.
+  N_r(c - code) over the chunk values' codes.  A chunk is one row read:
+  the row of (r, rest) is (0, a_0, a_0 + a_1, ..., N_r(rest)), a_c =
+  N_{r-1}(rest - code of c) with c in level order.  A rank reads its
+  count and total at xi's chunk, and an unrank bisects the row for s.
+  The rows, built once per table, hold N_1 .. N_n: at most the rule's
+  bound plus T + 1 entries.  The rule's left side bounds the entries of
+  N_0 .. N_{n-1}: |N_r| <= T + 1, as adding n - r copies of the least
+  chunk code maps the r-chunk code sums one-to-one into the n-chunk
+  ones, and |N_r| <= |K_r|, as a string's code sum depends only on its
+  composition.  So under the rule the counts hold no more entries than
+  K_n has compositions.  It admits B at every n (3n + 1 classes, few
+  and large), A to n = 2, the irrational test model C to n = 4 and the
+  M = 2 Haar model of perfbench/inputs to n = 8.
 * By pairs.  The walk carries every class-t composition that still
   extends the prefix with its number of completions, and a chunk
-  value's completions are a sum over them.  Where values rarely
-  collide the classes are small, and the rule sends those tables here:
-  A from n = 3 (one composition a class, while its counts would hold
-  n(n + 1)/2 entries against n + 1 compositions), C from n = 5 and the
-  Haar model from n = 9.
+  value's completions are a sum over them.  A rank sums them for every
+  value below xi's chunk.  An unrank scans the chunk values from the
+  end of the block nearer s, from 0 up or from m - 1 down, and stops at
+  the value whose share of the block holds s; the last value scanned
+  takes what is left.  Where values rarely collide the classes are
+  small, and the rule sends those tables here: A from n = 3 (one
+  composition a class, while its counts would hold n(n + 1)/2 entries
+  against n + 1 compositions), C from n = 5 and the Haar model from
+  n = 9.
 
 The class is known only through the tau1 oracle: each beta_fast or
 enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
@@ -80,14 +86,14 @@ of neighbouring levels or ranks (an exhaustive sweep, f_perm over
 consecutive levels, gamma_relation after inv_f, or inv_f after f_perm)
 count only what differs.  A resumed walk still pays its bulk tau1 scan;
 table.stats.bigint_ops counts only the arithmetic it does: one op per
-lookup by code, one per composition summed by pairs.
+row read by code, one per composition summed by pairs.
 beta_fast_trace is a rank from the class root that files each count
 under its 1-bit of xi, and leaves the path such a rank leaves.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -134,7 +140,7 @@ def encode_weight_index(model: OutcomeModel, svec: Sequence[int]) -> int:
     try:
         ranks = iter(svec)
     except TypeError:
-        raise DomainError(f"outcome ranks must be a sequence, got {svec!r}") from None
+        raise DomainError(f"outcome ranks must be a sequence, got {shown(svec)}") from None
     mp1 = model.M + 1
     ell = 0
     for s in ranks:
@@ -232,18 +238,14 @@ def _count_walk(
 ) -> int:
     """The counting loop over the class-t levels, chunk by chunk.
 
-    Rank (xi given): at every chunk one pass runs over the chunk values
-    c below xi's next chunk cx and adds the class-t completions of each
-    to one running count, so the count ends as the class-t levels below
-    xi.  A trace passes steps holding 0 at every 1-bit of xi, and each
-    c's count is added to steps[zeta], zeta being the 1-bit of cx where
-    c first differs from it.  Unrank (xi None): s lies in the block of
-    ranks (count, count + total], total being the class-t completions
-    of the prefix.  If s lies in its lower half the pass runs up from
-    c = 0 and each c takes the bottom of what is left of the block, else
-    down from m - 1 taking the top; it stops at the c whose completions
-    hold s, and that c becomes cx.  The last c of either direction is
-    not counted, its share being what is left.
+    Rank (xi given): at every chunk the class-t completions of the chunk
+    values c below xi's next chunk cx are added to one running count, so
+    the count ends as the class-t levels below xi.  A trace passes steps
+    holding 0 at every 1-bit of xi, and each c's count is added to
+    steps[zeta], zeta being the 1-bit of cx where c first differs from
+    it.  Unrank (xi None): s lies in the block of ranks (count,
+    count + total], total being the class-t completions of the prefix,
+    and cx is the chunk value whose share of the block holds s.
 
     A prefix's class-t completions are counted one of two ways, chosen
     on the table's first walk (_walk_constants) and read once at the top
@@ -251,14 +253,24 @@ def _count_walk(
 
     * by code: with r chunks left they are N_r(rest), the number of
       r-chunk strings whose chunk codes sum to rest, class t's code
-      minus the prefix's.  N_0 .. N_{n-1} (_chunk_counts) are built on
-      the table's first walk, so each chunk value costs one dict lookup
-      and fixing cx subtracts its code from rest.
+      minus the prefix's.  A chunk is one step on the row rows[r][rest],
+      whose entry c is the completions of the values below c: an unrank
+      bisects it for s - count to choose cx, a rank reads cx off xi, and
+      both add row[cx] to count, take row[cx + 1] - row[cx] as total and
+      subtract cx's code from rest.  For each 1-bit b of cx a trace files
+      row[base + 2^b] - row[base], the values [base, base + 2^b) that
+      first differ from cx at b, base being cx with bits 0 .. b cleared.
     * by pairs: the walk carries every class-t composition k that
       extends the prefix with q, its number of completions, and used,
       the prefix's outcome counts.  A chunk value's completions are the
       sum of q * (k[s1] - used[s1]) over r, and the products of the
-      pass that fixes cx, divided by r, are the next q.
+      pass that fixes cx, divided by r, are the next q.  A rank passes
+      over the values below cx.  An unrank scans from the end of the
+      block nearer s: if s lies in its lower half the pass runs up from
+      c = 0 and each c takes the bottom of what is left of the block,
+      else down from m - 1 taking the top; it stops at the c whose
+      completions hold s, and that c becomes cx.  The last c of either
+      direction is not counted, its share being what is left.
 
     Returns beta(t, xi) for a rank, which stops where class t runs out,
     and the level of rank s for an unrank.
@@ -276,8 +288,8 @@ def _count_walk(
     plus one), or the one state where the class ran out.  With r chunks
     left at most C(r + m - 1, m - 1) pairs are live, so a path holds at
     most C(D + m, m) - 1 pairs.  Every call makes the one bulk tau1 scan
-    of the class, and table.stats.bigint_ops counts each lookup by code
-    and each product by pairs.
+    of the class, and table.stats.bigint_ops counts each row read by
+    code and each product by pairs.
     """
     n = table.n
     mp1 = table.model.M + 1
@@ -292,10 +304,10 @@ def _count_walk(
     while j >= 0 and not path[j][lo] <= target < path[j][lo + 1]:
         j -= 1
     del path[j + 1:]
-    kept, counts = table._cache.get("walk") or _walk_constants(table)
-    if counts:
-        # by chunk code: rest is class t's code minus the prefix's, and a
-        # prefix with r < n chunks left has counts[r].get(rest, 0) completions
+    kept, rows = table._cache.get("walk") or _walk_constants(table)
+    if rows:
+        # by chunk code: rest is class t's code minus the prefix's, and with
+        # r chunks left rows[r][rest][c] counts the completions below value c
         ell, _, count, total, start, rest = path[-1] if path else (
             0, table.num_indices, 0, table.gammas[t], 0,
             sum(map(int.__mul__, members[0], table.codes)),
@@ -311,37 +323,20 @@ def _count_walk(
                 path.append((ell << shift, (ell + 1) << shift, count, count + total, i, rest))
             if not total:
                 break  # a rank's class ran out: the count is final
-            below = counts[r - 1]
+            row = rows[r][rest]
             if xi is None:
-                down = 2 * (s - count) > total
-                order = range(mask, -1, -1) if down else range(mask + 1)
-                for cx in order:
-                    if cx == order[-1]:
-                        break
-                    acc = below.get(rest - codes[cx], 0)
-                    stats.bigint_ops += 1
-                    if down:
-                        if s > count + total - acc:
-                            count += total - acc
-                            total = acc
-                            break
-                    elif s <= count + acc:
-                        total = acc
-                        break
-                    else:
-                        count += acc
-                    total -= acc
-                rest -= codes[cx]
+                cx = bisect_left(row, s - count) - 1
             else:
                 cx = (xi >> ((r - 1) * mp1)) & mask
-                for c in range(cx):
-                    acc = below.get(rest - codes[c], 0)
-                    count += acc
-                    if steps:  # a trace's, holding every 1-bit of xi
-                        steps[i * mp1 + mp1 + 1 - (c ^ cx).bit_length()] += acc
-                rest -= codes[cx]
-                total = below.get(rest, 0)
-                stats.bigint_ops += cx + 1
+                if steps:  # a trace's, holding every 1-bit of xi
+                    for b in range(cx.bit_length()):
+                        if cx >> b & 1:  # file the values below cx that first differ at b
+                            base = cx >> (b + 1) << (b + 1)
+                            steps[i * mp1 + mp1 - b] += row[base + (1 << b)] - row[base]
+            count += row[cx]
+            total = row[cx + 1] - row[cx]
+            rest -= codes[cx]
+            stats.bigint_ops += 1
             ell = (ell << mp1) | cx
         return ell if xi is None else count + total
     lut = table.model._index_of_chunk
@@ -442,7 +437,8 @@ def _counts_by_code(table: ValueTable) -> bool:
 def _chunk_counts(codes: Sequence[int], depth: int) -> List[Dict[int, int]]:
     """N_0 .. N_{depth-1}: N_r maps each code to the number of r-chunk
     strings whose chunk codes sum to it.  N_0 = {0: 1}, and N_{r+1}(c)
-    is the sum of N_r(c - code) over the chunks' codes."""
+    is the sum of N_r(c - code) over the chunks' codes.  _walk_constants
+    keeps N_0 .. N_n only as the code walk's cumulative rows."""
     counts = [{0: 1}]
     for _ in range(1, depth):
         grown: Dict[int, int] = {}
@@ -453,14 +449,30 @@ def _chunk_counts(codes: Sequence[int], depth: int) -> List[Dict[int, int]]:
     return counts
 
 
-def _walk_constants(table: ValueTable) -> Tuple[int, Optional[List[Dict[int, int]]]]:
-    """(D, counts) of table's walks, kept in its cache from its first
-    walk on: D is the least d with m^d >= n, plus one, and counts is
-    N_0 .. N_{n-1} when _counts_by_code admits the table, else None."""
+def _walk_constants(table: ValueTable) -> Tuple[int, Optional[List[Dict[int, Tuple[int, ...]]]]]:
+    """(D, rows) of table's walks, kept in its cache from its first walk
+    on: D is the least d with m^d >= n, plus one, and rows is None unless
+    _counts_by_code admits the table.  Then rows[r] (1 <= r <= n) maps
+    each code rest with N_r(rest) > 0 to its cumulative row (0, a_0,
+    a_0 + a_1, ..., N_r(rest)), a_c = N_{r-1}(rest - code of c) with c
+    in level order; rows[0] is empty.  So the rows hold N_1 .. N_n, at
+    most the rule's bound plus T + 1 entries of m + 1 ints each."""
     kept = -(-(table.n - 1).bit_length() // (table.model.M + 1)) + 1
-    counts = _chunk_counts(table.chunk_codes, table.n) if _counts_by_code(table) else None
-    table._cache["walk"] = kept, counts
-    return kept, counts
+    rows = None
+    if _counts_by_code(table):
+        codes = table.chunk_codes
+        counts = _chunk_counts(codes, table.n + 1)
+        rows = [{}]
+        for below, here in zip(counts, counts[1:]):
+            level = {}
+            for rest in here:  # plain loops: cheaper than accumulate here
+                row = [0]
+                for code in codes:
+                    row.append(row[-1] + below.get(rest - code, 0))
+                level[rest] = tuple(row)
+            rows.append(level)
+    table._cache["walk"] = kept, rows
+    return kept, rows
 
 
 def _forget_path(table: ValueTable, t: int):

@@ -122,7 +122,7 @@ class BitString:
         try:
             bits = tuple(bits)
         except TypeError:
-            raise DomainError(f"bits must be a sequence, got {bits!r}") from None
+            raise DomainError(f"bits must be a sequence, got {shown(bits)}") from None
         if any(type(b) is not int or b not in (0, 1) for b in bits):
             raise DomainError("bits must be 0 or 1")
         self.bits = bits

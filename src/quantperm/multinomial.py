@@ -214,7 +214,7 @@ class ValueTable:
             return Fraction(self.smc[t + 1], self.num_indices)
         if mode == "lt":
             return Fraction(self.smc[t], self.num_indices)
-        raise DomainError(f"cdf mode must be 'lt' or 'leq', got {mode!r}")
+        raise DomainError(f"cdf mode must be 'lt' or 'leq', got {shown(mode)}")
 
     def _check_class(self, t: int):
         if type(t) is not int or not 0 <= t <= self.T:

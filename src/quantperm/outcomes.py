@@ -80,7 +80,7 @@ class HaarSpec:
         try:
             return self.coeffs[(k, j)]
         except KeyError:
-            raise DomainError(f"no coefficient at level {k}, offset {j}") from None
+            raise DomainError(f"no coefficient at level {shown(k)}, offset {shown(j)}") from None
 
 
 def theta_squared(spec: HaarSpec) -> ExactScalar:
@@ -102,7 +102,7 @@ def _chunk_of(M: int, pattern: Iterable[int]) -> int:
     except TypeError:
         bits, ok = pattern, False
     if not ok:
-        raise DomainError(f"pattern {bits!r} is not a length-{M + 1} bit tuple")
+        raise DomainError(f"pattern {shown(bits)} is not a length-{M + 1} bit tuple")
     return sum(b << (M - i) for i, b in enumerate(bits))
 
 
@@ -235,7 +235,7 @@ def build_manual(
         raise DomainError("outcomes must be (pattern, value) pairs") from None
     for _, v in pairs:
         if not isinstance(v, ExactScalar):
-            raise DomainError(f"outcome value {v!r} is not an ExactScalar")
+            raise DomainError(f"outcome value {shown(v)} is not an ExactScalar")
     # count without forming 2^(M+1), as HaarSpec does: M comes from outside
     size = len(pairs)
     if size.bit_length() != M + 2 or size & (size - 1):
@@ -318,7 +318,7 @@ def model_from_json(doc) -> OutcomeModel:
         raise DomainError(f"field 'M' must be an integer >= 0, got {shown(M)}")
     strict = doc["strict"]
     if not isinstance(strict, bool):
-        raise DomainError(f"field 'strict' must be a boolean, got {strict!r}")
+        raise DomainError(f"field 'strict' must be a boolean, got {shown(strict)}")
     d = doc.get("d", 1)
     if type(d) is not int:
         raise DomainError(f"field 'd' must be an integer, got {shown(d)}")
@@ -381,6 +381,8 @@ def load_model(path: str) -> OutcomeModel:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise DomainError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except ValueError as e:  # an int literal with more digits than int() reads
+        raise DomainError(f"{path}: {e}") from None
     except RecursionError:
         raise DomainError(f"{path}: JSON nested too deeply") from None
     try:

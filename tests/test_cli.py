@@ -203,6 +203,8 @@ BAD_INPUTS = {
             )
         ).encode(),
     ),
+    # json reads no int literal of more digits than str() prints
+    "int-literal-too-long": ("model", b'{"M": ' + b"1" * 5000 + b', "strict": true, "outcomes": []}'),
 }
 
 
@@ -219,6 +221,7 @@ def test_bad_model_and_perm_files_are_domain_errors(capsys, tmp_path, time_limit
         code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:")
+    assert kind != "model" or str(path) in err
 
 
 def test_deeply_nested_model_file_is_a_domain_error(capsys, tmp_path):

@@ -26,6 +26,7 @@ from quantperm import (
     beta_fast,
     beta_fast_trace,
     bench_scaling,
+    build_manual,
     build_value_table,
     builtin_model,
     clt_table,
@@ -36,6 +37,7 @@ from quantperm import (
     enumerate_compositions,
     eval_partial_sum,
     f_perm,
+    fit_loglog_slope,
     gamma_relation,
     inv_f,
     is_n,
@@ -44,7 +46,9 @@ from quantperm import (
     iweight,
     load_model,
     make_admissible,
+    model_from_json,
     multinomial_coefficient,
+    parse_scalar,
     ria,
     rib,
     selftest,
@@ -539,6 +543,15 @@ HUGE_INT_MESSAGES = {
     "multinomial-n": (lambda ta: multinomial_coefficient(HUGE, (1, 1)), "expected"),
     "class_of": (lambda ta: ta.class_of((HUGE, 3 - HUGE)), "not a composition"),
     "from_rows": (lambda ta: AdmissiblePermutation.from_rows(ta, [(HUGE, 1, 1)] * 8), "row 0"),
+    "encode": (lambda ta: encode_weight_index(ta.model, HUGE), "outcome ranks"),
+    "bits": (lambda ta: BitString(HUGE), "bits must be a sequence"),
+    "cdf-mode": (lambda ta: ta.cdf(0, HUGE), "cdf mode"),
+    "pattern": (lambda ta: ta.model.outcome_index([HUGE]), "pattern"),
+    "manual-value": (lambda ta: build_manual(0, [((0,), HUGE), ((1,), HUGE)]), "outcome value"),
+    "haar-coefficient": (lambda ta: builtin_model("B").haar.coefficient(HUGE, 0), "no coefficient"),
+    "strict": (lambda ta: model_from_json({"M": 0, "strict": HUGE}), "'strict'"),
+    "scalar-text": (lambda ta: parse_scalar(HUGE), "scalar text"),
+    "slope-fit": (lambda ta: fit_loglog_slope([(1, 1), (-HUGE, 1)]), "slope fit"),
 }
 
 
@@ -670,20 +683,18 @@ def test_unrank_and_trace_leave_the_fresh_rank_code_state():
         _, _, count, end, depth, rest = record
         assert depth == n - 1 and count < s <= end
         assert rest == table.chunk_codes[ell & mask]
-        # a fresh rank makes one lookup per chunk value below each chunk
-        # of ell, and one for the chunk itself, and leaves the same state
+        # a fresh rank reads one row per chunk, and leaves the same state
         table._cache.pop(("rank", t))
         before = table.stats.bigint_ops
         assert beta_fast(table, t, ell) == s
         fresh = table.stats.bigint_ops - before
-        chunks = [(ell >> (i * (table.model.M + 1))) & mask for i in range(n)]
-        assert fresh == sum(chunks) + n
+        assert fresh == n
         assert _record(table, t) == record
-        # a resumed rank makes only the last chunk's lookups
+        # a resumed rank reads only the last chunk's row
         enum_b(table, t, s)
         before = table.stats.bigint_ops
         assert beta_fast(table, t, ell) == s
-        assert table.stats.bigint_ops - before == (ell & mask) + 1
+        assert table.stats.bigint_ops - before == 1
         # the trace walks from the class root and leaves the same state
         before = table.stats.bigint_ops
         assert beta_fast_trace(table, t, ell).total == s
@@ -776,7 +787,7 @@ def test_checkpoint_paths_stay_bounded():
 FRESH_WALK_RESULTS_DIGEST = "40d9e56490cb1bd7e3e875c0eca4d890df21c3ba7a8e04bbd85dabd3dee149c2"
 
 # the same records with each call's bigint_ops delta appended
-FRESH_WALKS_DIGEST = "ab5b9cac90c537c76f0239f3bbb4701533e756f57b7ba6b0189416944aa8bf19"
+FRESH_WALKS_DIGEST = "addf5525750725ebdbd9abb16857fb396ad823e12062e70d24d3e3854ecd238c"
 
 
 def test_fresh_walks_digest_pinned(tables):
@@ -801,10 +812,8 @@ def test_fresh_walks_digest_pinned(tables):
 
 
 # bigint_ops of f_perm at 200 seeded levels of B at n = 32, each walk from
-# chunk 1: B at n = 32 counts by chunk code, one lookup per chunk value
-# scanned, and an unrank scans each chunk's values from the end of its
-# block nearer the rank, so a scan that only runs upward raises the count
-FRESH_UNRANK_BIGINT_OPS = 10341
+# chunk 1: B at n = 32 counts by chunk code, one row read per chunk
+FRESH_UNRANK_BIGINT_OPS = 200 * 32
 
 
 def test_fresh_unrank_bigint_ops_pinned(tables):
@@ -822,8 +831,9 @@ def test_fresh_unrank_bigint_ops_pinned(tables):
 
 @pytest.mark.parametrize("name, n", [("B", 32), ("A", 64)])
 def test_fresh_unrank_at_block_ends_and_direction_switch(tables, name, n):
-    # s = gamma_t // 2 is the last rank scanned up from chunk value 0 at
-    # chunk 1, and gamma_t // 2 + 1 the first scanned down from m - 1
+    # by pairs (A), s = gamma_t // 2 is the last rank scanned up from chunk
+    # value 0 at chunk 1, and gamma_t // 2 + 1 the first scanned down from
+    # m - 1; by code (B), the ranks at both ends and the middle of a block
     table = tables(name, n)
     for t in range(table.T + 1):
         g = table.gammas[t]
@@ -922,12 +932,17 @@ def test_counting_on_explicit_tables(monkeypatch, by_code):
             assert (table._cache["walk"][1] is not None) == by_code
 
 
-@pytest.mark.parametrize("n, levels", [(32, 100), (64, 30)])
-def test_counting_by_pairs_and_by_code_agree(monkeypatch, n, levels):
-    # B at these widths counts by chunk code; the same seeded ranks,
-    # traces and unranks on a table forced to count by pairs return the
-    # same, at the same tau1 queries
-    by_code, by_pairs = (build_value_table(builtin_model("B"), n) for _ in range(2))
+@pytest.mark.parametrize(
+    "name, n, levels",
+    [("B", 32, 100), ("B", 64, 30), ("haar_m2", 8, 100)],
+    ids=["32-100", "64-30", "haar_m2-8-100"],
+)
+def test_counting_by_pairs_and_by_code_agree(monkeypatch, name, n, levels):
+    # B at these widths and haar_m2 at n = 8 (three bits a chunk) count by
+    # chunk code; the same seeded ranks, traces and unranks on a table
+    # forced to count by pairs return the same, at the same tau1 queries
+    model = load_model(str(HAAR_M2)) if name == "haar_m2" else builtin_model(name)
+    by_code, by_pairs = (build_value_table(model, n) for _ in range(2))
     monkeypatch.setattr(indexing, "_counts_by_code", lambda table: table is by_code)
     rng = random.Random(n)
     for j in range(levels):
