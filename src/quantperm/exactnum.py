@@ -234,7 +234,9 @@ def parse_scalar(text: str, d: int | None = None) -> ExactScalar:
     optional signs.  If d is given, every radical in the text must match
     it and the result carries that radicand even when no radical occurs.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise DomainError(f"scalar text must be a string, got {shown(text)}")
+    if not text.strip():
         raise DomainError(f"empty scalar text {shown(text)}")
     text = text.strip()
     a = Fraction(0)

@@ -38,8 +38,8 @@ the chunk value whose share of the block holds s.  So both directions
 hold the same state at every depth.
 
 A prefix's completions are counted one of two ways, chosen per table on
-its first walk by one rule, sum_{r<n} min(T + 1, |K_r|) <= |K_n|
-(_counts_by_code):
+its first walk by one rule, sum_{r<n} min(T + 1, |K_r|) <= max(|K_n|,
+ROW_BUDGET) (_counts_by_code):
 
 * By chunk code.  A class-t prefix with r chunks left has N_r(rest)
   completions: the r-chunk strings whose chunk codes sum to rest, class
@@ -54,20 +54,23 @@ its first walk by one rule, sum_{r<n} min(T + 1, |K_r|) <= |K_n|
   chunk code maps the r-chunk code sums one-to-one into the n-chunk
   ones, and |N_r| <= |K_r|, as a string's code sum depends only on its
   composition.  So under the rule the counts hold no more entries than
-  K_n has compositions.  It admits B at every n (3n + 1 classes, few
-  and large), A to n = 2, the irrational test model C to n = 4 and the
-  M = 2 Haar model of perfbench/inputs to n = 8.
+  K_n has compositions, or than ROW_BUDGET = 2^16 where that is more.
+  It admits B at every n (3n + 1 classes, few and large), the
+  two-outcome A to n = 361 (its n(n + 1)/2 entries against n + 1
+  compositions), the irrational test model C to n = 37 and the M = 2
+  Haar model of perfbench/inputs to n = 11.  At the budget's edge the
+  rows cost tens of MB, built in a fraction of a second on the first
+  walk: about 22 MB at A n = 361, 28 MB at the Haar model's n = 11.
 * By pairs.  The walk carries every class-t composition that still
   extends the prefix with its number of completions, and a chunk
   value's completions are a sum over them.  A rank sums them for every
   value below xi's chunk.  An unrank scans the chunk values from the
   end of the block nearer s, from 0 up or from m - 1 down, and stops at
   the value whose share of the block holds s; the last value scanned
-  takes what is left.  Where values rarely collide the classes are
-  small, and the rule sends those tables here: A from n = 3 (one
-  composition a class, while its counts would hold n(n + 1)/2 entries
-  against n + 1 compositions), C from n = 5 and the Haar model from
-  n = 9.
+  takes what is left.  The rule sends a table here when its counts
+  would outgrow both its compositions and the budget, so its classes
+  are small and many: A from n = 362, C from n = 38 and the Haar model
+  from n = 12.
 
 The class is known only through the tau1 oracle: each beta_fast or
 enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
@@ -106,6 +109,10 @@ from .outcomes import OutcomeModel
 
 # Widest n(M+1) at which anything scans or materializes all 2^width levels.
 EXPLICIT_WIDTH_LIMIT = 24
+
+# Entries of N_0 .. N_{n-1} that a table may count by chunk code whatever
+# its number of compositions (_counts_by_code).
+ROW_BUDGET = 1 << 16
 
 
 def _require_explicit(width: int, what: str = "explicit permutation tables"):
@@ -421,17 +428,18 @@ def _count_walk(
 
 def _counts_by_code(table: ValueTable) -> bool:
     """Do table's walks count completions by chunk code?  Yes when
-    sum_{r<n} min(T + 1, |K_r|) <= |K_n|, which bounds the entries of
-    N_0 .. N_{n-1}, so the counts then hold no more entries than the
-    table has compositions.  |N_r| <= T + 1: adding n - r copies of the
-    least chunk code maps the r-chunk code sums one-to-one into the
-    n-chunk ones, the T + 1 classes' codes.  |N_r| <= |K_r|: an r-chunk
+    sum_{r<n} min(T + 1, |K_r|) <= max(|K_n|, ROW_BUDGET), which bounds
+    the entries of N_0 .. N_{n-1}, so the counts then hold no more
+    entries than the table has compositions, or than ROW_BUDGET where
+    that is more.  |N_r| <= T + 1: adding n - r copies of the least
+    chunk code maps the r-chunk code sums one-to-one into the n-chunk
+    ones, the T + 1 classes' codes.  |N_r| <= |K_r|: an r-chunk
     string's code sum depends only on its composition.  The rule admits
-    B at every n, A to n = 2, C to n = 4 and the M = 2 Haar model of
-    perfbench/inputs to n = 8."""
+    B at every n, A to n = 361 (bound 65,341), C to n = 37 and the M = 2
+    Haar model of perfbench/inputs to n = 11 (bound 43,758)."""
     m, classes = table.model.m, table.T + 1
     bound = sum(min(classes, composition_count(r, m)) for r in range(table.n))
-    return bound <= table.num_compositions
+    return bound <= max(table.num_compositions, ROW_BUDGET)
 
 
 def _chunk_counts(codes: Sequence[int], depth: int) -> List[Dict[int, int]]:
@@ -456,7 +464,10 @@ def _walk_constants(table: ValueTable) -> Tuple[int, Optional[List[Dict[int, Tup
     each code rest with N_r(rest) > 0 to its cumulative row (0, a_0,
     a_0 + a_1, ..., N_r(rest)), a_c = N_{r-1}(rest - code of c) with c
     in level order; rows[0] is empty.  So the rows hold N_1 .. N_n, at
-    most the rule's bound plus T + 1 entries of m + 1 ints each."""
+    most the rule's bound plus T + 1 entries of m + 1 ints each: no more
+    than ROW_BUDGET + T + 1 rows on a table admitted by the budget.  At
+    its edge they take about 22 MB at A n = 361 and 28 MB at the M = 2
+    Haar model's n = 11."""
     kept = -(-(table.n - 1).bit_length() // (table.model.M + 1)) + 1
     rows = None
     if _counts_by_code(table):

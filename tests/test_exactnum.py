@@ -187,6 +187,16 @@ def test_parse_rejects_garbage():
         parse_scalar("sqrt(2) + sqrt(3)")
     with pytest.raises(DomainError):
         parse_scalar("sqrt(3)", d=2)
+    with pytest.raises(DomainError) as caught:
+        parse_scalar("  ")
+    assert str(caught.value) == "empty scalar text '  '"
+
+
+@pytest.mark.parametrize("bad", [5, 2.5, None, ["1"], b"1"])
+def test_parse_scalar_names_a_non_string(bad):
+    with pytest.raises(DomainError) as caught:
+        parse_scalar(bad)
+    assert str(caught.value) == f"scalar text must be a string, got {bad!r}"
 
 
 rationals = st.fractions(

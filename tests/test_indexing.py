@@ -786,8 +786,9 @@ def test_checkpoint_paths_stay_bounded():
 # end of each block: what the walks return and the queries they make
 FRESH_WALK_RESULTS_DIGEST = "40d9e56490cb1bd7e3e875c0eca4d890df21c3ba7a8e04bbd85dabd3dee149c2"
 
-# the same records with each call's bigint_ops delta appended
-FRESH_WALKS_DIGEST = "addf5525750725ebdbd9abb16857fb396ad823e12062e70d24d3e3854ecd238c"
+# the same records with each call's bigint_ops delta appended; every table
+# here counts by chunk code, A within the row budget
+FRESH_WALKS_DIGEST = "a83b4151a5324308be87adbb502dfe65943906addde793c2eca52fbca77a45be"
 
 
 def test_fresh_walks_digest_pinned(tables):
@@ -830,11 +831,16 @@ def test_fresh_unrank_bigint_ops_pinned(tables):
 
 
 @pytest.mark.parametrize("name, n", [("B", 32), ("A", 64)])
-def test_fresh_unrank_at_block_ends_and_direction_switch(tables, name, n):
-    # by pairs (A), s = gamma_t // 2 is the last rank scanned up from chunk
-    # value 0 at chunk 1, and gamma_t // 2 + 1 the first scanned down from
-    # m - 1; by code (B), the ranks at both ends and the middle of a block
-    table = tables(name, n)
+def test_fresh_unrank_at_block_ends_and_direction_switch(monkeypatch, tables, name, n):
+    # by pairs (A, forced: the rule counts A at n = 64 by chunk code),
+    # s = gamma_t // 2 is the last rank scanned up from chunk value 0 at
+    # chunk 1, and gamma_t // 2 + 1 the first scanned down from m - 1; by
+    # code (B), the ranks at both ends and the middle of a block
+    if name == "A":
+        _force(monkeypatch, False)
+        table = build_value_table(builtin_model(name), n)
+    else:
+        table = tables(name, n)
     for t in range(table.T + 1):
         g = table.gammas[t]
         for s in sorted({1, g // 2, g // 2 + 1, g} - {0}):
@@ -842,6 +848,7 @@ def test_fresh_unrank_at_block_ends_and_direction_switch(tables, name, n):
             ell = enum_b(table, t, s)
             assert iweight(table, ell) == t, (t, s)
             assert beta_fast(table, t, ell) == s, (t, s)
+    assert (table._cache["walk"][1] is None) == (name == "A")
 
 
 # -- counting completions by chunk code ---------------------------------------
@@ -857,16 +864,19 @@ def _force(monkeypatch, by_code):
     monkeypatch.setattr(indexing, "_counts_by_code", lambda table: by_code)
 
 
-def test_the_rule_admits_every_b_and_small_a_c_and_haar_tables(tables):
-    # sum_{r<n} min(T + 1, |K_r|) <= |K_n| bounds the entries of N_0 ..
-    # N_{n-1} by what K_n holds.  A's counts hold n(n + 1)/2 entries
-    # against n + 1 compositions, so only A n <= 2 passes; C passes to
-    # n = 4 and haar_m2 to n = 8, and haar_m2 n = 21 is refused in
+def test_the_rule_admits_every_b_and_a_c_haar_to_the_row_budget_edge(tables):
+    # sum_{r<n} min(T + 1, |K_r|) <= max(|K_n|, ROW_BUDGET) bounds the
+    # entries of N_0 .. N_{n-1} by what K_n holds or by the budget.  A's
+    # counts hold n(n + 1)/2 entries against n + 1 compositions, so the
+    # budget admits A to n = 361 (bound 65,341; 65,703 at n = 362), C to
+    # n = 37 (60,436; 65,991 at n = 38) and haar_m2 to n = 11 (43,758;
+    # 75,582 at n = 12), and haar_m2 n = 21 is refused in
     # tests/test_wide_tables.py
     haar = load_model(str(HAAR_M2))
-    cases = [(build_value_table(builtin_model("A"), n), n <= 2) for n in range(1, 257)]
-    cases += [(tables("C", n), n <= 4) for n in range(1, 13)]
-    cases += [(build_value_table(haar, n), n <= 8) for n in range(1, 11)]
+    cases = [(build_value_table(builtin_model("A"), n), True) for n in range(1, 257)]
+    cases += [(build_value_table(builtin_model("A"), n), n <= 361) for n in (361, 362)]
+    cases += [(tables("C", n), n <= 37) for n in list(range(1, 13)) + [37, 38]]
+    cases += [(build_value_table(haar, n), n <= 11) for n in range(1, 13)]
     cases += [(build_value_table(builtin_model("B"), n), True) for n in list(range(1, 41)) + [64]]
     for table, admitted in cases:
         assert indexing._counts_by_code(table) == admitted, (table.model.m, table.n)
@@ -874,7 +884,22 @@ def test_the_rule_admits_every_b_and_small_a_c_and_haar_tables(tables):
             m, classes = table.model.m, table.T + 1
             bound = sum(min(classes, composition_count(r, m)) for r in range(table.n))
             counts = indexing._chunk_counts(table.chunk_codes, table.n)
-            assert sum(map(len, counts)) <= bound <= table.num_compositions, (m, table.n)
+            budget = max(table.num_compositions, indexing.ROW_BUDGET)
+            assert sum(map(len, counts)) <= bound <= budget, (m, table.n)
+
+
+@pytest.mark.parametrize("name, n", [("A", 361), ("haar_m2", 11)])
+def test_rows_at_the_row_budget_edge(time_limit, name, n):
+    # the widest A and haar_m2 tables the budget admits: the first walk
+    # builds their rows within a second, and they hold at most
+    # ROW_BUDGET + T + 1 rows, N_1 .. N_n
+    model = load_model(str(HAAR_M2)) if name == "haar_m2" else builtin_model(name)
+    table = build_value_table(model, n)
+    with time_limit(1):
+        f_perm(table, table.num_indices // 3)
+    rows = table._cache["walk"][1]
+    assert rows is not None
+    assert sum(map(len, rows)) <= indexing.ROW_BUDGET + table.T + 1
 
 
 def test_chunk_counts_one_step_further_are_the_gammas(tables):
@@ -934,13 +959,14 @@ def test_counting_on_explicit_tables(monkeypatch, by_code):
 
 @pytest.mark.parametrize(
     "name, n, levels",
-    [("B", 32, 100), ("B", 64, 30), ("haar_m2", 8, 100)],
-    ids=["32-100", "64-30", "haar_m2-8-100"],
+    [("B", 32, 100), ("B", 64, 30), ("haar_m2", 8, 100), ("A", 361, 30)],
+    ids=["32-100", "64-30", "haar_m2-8-100", "A-361-30"],
 )
 def test_counting_by_pairs_and_by_code_agree(monkeypatch, name, n, levels):
-    # B at these widths and haar_m2 at n = 8 (three bits a chunk) count by
-    # chunk code; the same seeded ranks, traces and unranks on a table
-    # forced to count by pairs return the same, at the same tau1 queries
+    # B at these widths, haar_m2 at n = 8 (three bits a chunk) and A at
+    # n = 361, the row budget's edge, count by chunk code; the same seeded
+    # ranks, traces and unranks on a table forced to count by pairs
+    # return the same, at the same tau1 queries
     model = load_model(str(HAAR_M2)) if name == "haar_m2" else builtin_model(name)
     by_code, by_pairs = (build_value_table(model, n) for _ in range(2))
     monkeypatch.setattr(indexing, "_counts_by_code", lambda table: table is by_code)

@@ -214,6 +214,16 @@ def test_json_validation_errors():
         model_from_json({"M": -1, "strict": False, "outcomes": []})
 
 
+@pytest.mark.parametrize("value", [5, 0.5, None])
+def test_a_json_value_that_is_not_a_string_is_named(value):
+    doc = {"M": 0, "strict": True, "outcomes": [
+        {"pattern": [0], "value": value}, {"pattern": [1], "value": "-1"},
+    ]}
+    with pytest.raises(DomainError) as caught:
+        model_from_json(doc)
+    assert str(caught.value) == f"outcomes[0].value: scalar text must be a string, got {value!r}"
+
+
 def test_load_model_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"M": 0,\n  "strict": tru}\n')
