@@ -32,24 +32,24 @@ same loop: ranking and unranking multiset permutations are one descent
 run in two directions.  The loop fixes the chunks one at a time, most
 significant first, and keeps the prefix's block of class-t ranks
 (count, count + total], total being the class-t completions of the
-fixed prefix.  Ranking takes the next chunk from xi and adds the
-completions of every chunk value below it to count; unranking takes
-the chunk value whose share of the block holds s.  So both directions
-hold the same state at every depth.
+fixed prefix.  Each chunk is one step on the prefix's cumulative row
+(0, a_0, a_0 + a_1, ..., total), a_c being the completions with next
+chunk value c, in level order: a rank reads its chunk cx off xi, an
+unrank bisects the row for s, and both add row[cx] to count and take
+row[cx + 1] - row[cx] as total.  So both directions take the same step
+and hold the same state at every depth.
 
-A prefix's completions are counted one of two ways, chosen per table on
-its first walk by one rule, sum_{r<n} min(T + 1, |K_r|) <= max(|K_n|,
-ROW_BUDGET) (_counts_by_code):
+The row has one of two sources, chosen per table on its first walk by
+one rule, sum_{r<n} min(T + 1, |K_r|) <= max(|K_n|, ROW_BUDGET)
+(_counts_by_code):
 
 * By chunk code.  A class-t prefix with r chunks left has N_r(rest)
   completions: the r-chunk strings whose chunk codes sum to rest, class
   t's code minus the prefix's.  N_0 = {0: 1} and N_{r+1}(c) sums
-  N_r(c - code) over the chunk values' codes.  A chunk is one row read:
-  the row of (r, rest) is (0, a_0, a_0 + a_1, ..., N_r(rest)), a_c =
-  N_{r-1}(rest - code of c) with c in level order.  A rank reads its
-  count and total at xi's chunk, and an unrank bisects the row for s.
-  The rows, built once per table, hold N_1 .. N_n: at most the rule's
-  bound plus T + 1 entries.  The rule's left side bounds the entries of
+  N_r(c - code) over the chunk values' codes.  The row of (r, rest),
+  a_c = N_{r-1}(rest - code of c), is read from the rows, built once
+  per table: they hold N_1 .. N_n, at most the rule's bound plus T + 1
+  entries.  The rule's left side bounds the entries of
   N_0 .. N_{n-1}: |N_r| <= T + 1, as adding n - r copies of the least
   chunk code maps the r-chunk code sums one-to-one into the n-chunk
   ones, and |N_r| <= |K_r|, as a string's code sum depends only on its
@@ -62,15 +62,16 @@ ROW_BUDGET) (_counts_by_code):
   rows cost tens of MB, built in a fraction of a second on the first
   walk: about 22 MB at A n = 361, 28 MB at the Haar model's n = 11.
 * By pairs.  The walk carries every class-t composition that still
-  extends the prefix with its number of completions, and a chunk
-  value's completions are a sum over them.  A rank sums them for every
-  value below xi's chunk.  An unrank scans the chunk values from the
-  end of the block nearer s, from 0 up or from m - 1 down, and stops at
-  the value whose share of the block holds s; the last value scanned
-  takes what is left.  The rule sends a table here when its counts
-  would outgrow both its compositions and the budget, so its classes
-  are small and many: A from n = 362, C from n = 38 and the Haar model
-  from n = 12.
+  extends the prefix with its number of completions, and a_c is a sum
+  over them.  The row is filled only as far as the step reads it, from
+  the end nearer what it reads: entries cx and cx + 1 for a rank, the
+  two entries that bracket s for an unrank; a trace fills every entry
+  up to cx + 1 from 0 up.  Entries not filled hold 0 below and total
+  above, so the row stays sorted, and the far end's a_c is never
+  summed: its share is what is left.  The rule sends a table here when
+  its counts would outgrow both its compositions and the budget, so its
+  classes are small and many: A from n = 362, C from n = 38 and the Haar
+  model from n = 12.
 
 The class is known only through the tau1 oracle: each beta_fast or
 enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
@@ -89,7 +90,8 @@ of neighbouring levels or ranks (an exhaustive sweep, f_perm over
 consecutive levels, gamma_relation after inv_f, or inv_f after f_perm)
 count only what differs.  A resumed walk still pays its bulk tau1 scan;
 table.stats.bigint_ops counts only the arithmetic it does: one op per
-row read by code, one per composition summed by pairs.
+chunk step on either source, plus one per composition product summed
+into a pairs row entry.
 beta_fast_trace is a rank from the class root that files each count
 under its 1-bit of xi, and leaves the path such a rank leaves.
 """
@@ -245,58 +247,50 @@ def _count_walk(
 ) -> int:
     """The counting loop over the class-t levels, chunk by chunk.
 
-    Rank (xi given): at every chunk the class-t completions of the chunk
-    values c below xi's next chunk cx are added to one running count, so
-    the count ends as the class-t levels below xi.  A trace passes steps
-    holding 0 at every 1-bit of xi, and each c's count is added to
-    steps[zeta], zeta being the 1-bit of cx where c first differs from
-    it.  Unrank (xi None): s lies in the block of ranks (count,
-    count + total], total being the class-t completions of the prefix,
-    and cx is the chunk value whose share of the block holds s.
+    The block of ranks (count, count + total] holds the class-t levels
+    that extend the prefix fixed so far, total being its class-t
+    completions.  Each chunk is one step on the prefix's cumulative row
+    (0, a_0, a_0 + a_1, ..., total), a_c being the completions with next
+    chunk value c, in level order.  An unrank (xi None) bisects the row
+    for s - count to choose cx, a rank reads cx off xi, and both add
+    row[cx] to count and take row[cx + 1] - row[cx] as total.  A trace
+    passes steps holding 0 at every 1-bit of xi, and for each 1-bit b of
+    cx files row[base + 2^b] - row[base], the values [base, base + 2^b)
+    that first differ from cx at b, base being cx with bits 0 .. b
+    cleared.  Returns beta(t, xi) for a rank, which stops where class t
+    runs out, and the level of rank s for an unrank.
 
-    A prefix's class-t completions are counted one of two ways, chosen
-    on the table's first walk (_walk_constants) and read once at the top
-    of every walk:
+    Only the row's source differs between the two ways of counting,
+    chosen on the table's first walk (_walk_constants) and read once at
+    the top of every walk:
 
-    * by code: with r chunks left they are N_r(rest), the number of
-      r-chunk strings whose chunk codes sum to rest, class t's code
-      minus the prefix's.  A chunk is one step on the row rows[r][rest],
-      whose entry c is the completions of the values below c: an unrank
-      bisects it for s - count to choose cx, a rank reads cx off xi, and
-      both add row[cx] to count, take row[cx + 1] - row[cx] as total and
-      subtract cx's code from rest.  For each 1-bit b of cx a trace files
-      row[base + 2^b] - row[base], the values [base, base + 2^b) that
-      first differ from cx at b, base being cx with bits 0 .. b cleared.
-    * by pairs: the walk carries every class-t composition k that
-      extends the prefix with q, its number of completions, and used,
-      the prefix's outcome counts.  A chunk value's completions are the
-      sum of q * (k[s1] - used[s1]) over r, and the products of the
-      pass that fixes cx, divided by r, are the next q.  A rank passes
-      over the values below cx.  An unrank scans from the end of the
-      block nearer s: if s lies in its lower half the pass runs up from
-      c = 0 and each c takes the bottom of what is left of the block,
-      else down from m - 1 taking the top; it stops at the c whose
-      completions hold s, and that c becomes cx.  The last c of either
-      direction is not counted, its share being what is left.
+    * by code, the source is rest, class t's code minus the prefix's.
+      With r chunks left the completions are N_r(rest), the r-chunk
+      strings whose chunk codes sum to rest, and the row is
+      rows[r][rest].  The step then subtracts cx's code from rest.
+    * by pairs, the source is (pairs, used): every class-t composition k
+      that extends the prefix with q, its number of completions, and the
+      prefix's outcome counts.  The row is a sum over the pairs
+      (_pairs_row), filled only as far as the step reads it, from the
+      end nearer what it reads: entries cx and cx + 1 for a rank (a
+      trace's, every entry up to cx + 1, from 0 up) and the two entries
+      that bracket s - count for an unrank.  The step then keeps each k
+      that has cx's outcome left, with its completions after cx.
 
-    Returns beta(t, xi) for a rank, which stops where class t runs out,
-    and the level of rank s for an unrank.
-
-    Every walk starts from a state: at depth i, the block of levels that
-    share its top i chunks, [lo, hi); the block of ranks (count,
-    count + total], total being the class-t levels in the level block;
-    i; and rest by code, or the live (k, q) pairs and used by pairs.
-    The class root is depth 0, [0, m^n), (0, gamma_t] and class t's code,
-    or every class-t pair and nothing used.  A walk starts from the
-    deepest state of its class's checkpoint path in table._cache that
-    holds it (xi in the level block, or s in the rank block), else from
-    the root, and replaces the states below that with its own on
-    entering each of the last D chunks (D the least d with m^d >= n,
-    plus one), or the one state where the class ran out.  With r chunks
-    left at most C(r + m - 1, m - 1) pairs are live, so a path holds at
-    most C(D + m, m) - 1 pairs.  Every call makes the one bulk tau1 scan
-    of the class, and table.stats.bigint_ops counts each row read by
-    code and each product by pairs.
+    Every walk starts from a state (lo, hi, count, count + total, i,
+    source): at depth i, the block of levels that share its top i
+    chunks, [lo, hi), and the block of ranks.  The class root is depth
+    0, [0, m^n), (0, gamma_t] and class t's code, or every class-t pair
+    and nothing used.  A walk starts from the deepest state of its
+    class's checkpoint path in table._cache that holds it (xi in the
+    level block, or s in the rank block), else from the root, and
+    replaces the states below that with its own on entering each of the
+    last D chunks (D the least d with m^d >= n, plus one), or the one
+    state where the class ran out.  With r chunks left at most
+    C(r + m - 1, m - 1) pairs are live, so a path holds at most
+    C(D + m, m) - 1 pairs.  Every call makes the one bulk tau1 scan of
+    the class, and table.stats.bigint_ops counts one op per step plus
+    one per composition product summed into a pairs row entry.
     """
     n = table.n
     mp1 = table.model.M + 1
@@ -312,118 +306,92 @@ def _count_walk(
         j -= 1
     del path[j + 1:]
     kept, rows = table._cache.get("walk") or _walk_constants(table)
-    if rows:
-        # by chunk code: rest is class t's code minus the prefix's, and with
-        # r chunks left rows[r][rest][c] counts the completions below value c
-        ell, _, count, total, start, rest = path[-1] if path else (
-            0, table.num_indices, 0, table.gammas[t], 0,
-            sum(map(int.__mul__, members[0], table.codes)),
-        )
-        total -= count
-        ell >>= (n - start) * mp1
-        save_from = start + (j >= 0)  # a resumed walk's path already holds its start
-        codes = table.chunk_codes
-        for i in range(start, n):
-            r = n - i
-            if i >= save_from and (r <= kept or not total):
-                shift = r * mp1
-                path.append((ell << shift, (ell + 1) << shift, count, count + total, i, rest))
-            if not total:
-                break  # a rank's class ran out: the count is final
-            row = rows[r][rest]
-            if xi is None:
-                cx = bisect_left(row, s - count) - 1
-            else:
-                cx = (xi >> ((r - 1) * mp1)) & mask
-                if steps:  # a trace's, holding every 1-bit of xi
-                    for b in range(cx.bit_length()):
-                        if cx >> b & 1:  # file the values below cx that first differ at b
-                            base = cx >> (b + 1) << (b + 1)
-                            steps[i * mp1 + mp1 - b] += row[base + (1 << b)] - row[base]
-            count += row[cx]
-            total = row[cx + 1] - row[cx]
-            rest -= codes[cx]
-            stats.bigint_ops += 1
-            ell = (ell << mp1) | cx
-        return ell if xi is None else count + total
-    lut = table.model._index_of_chunk
-    # pairs holds (k, q) for every class-t composition k that extends the
-    # chunks fixed so far, whose outcome counts are in used; q is the number
-    # of ways to fill the r chunks left, the multinomial coefficient of
-    # k - used.  Fixing the next chunk to outcome s1 + 1 multiplies that
-    # coefficient by (k[s1] - used[s1]) / r, so the completions with that
-    # next chunk are the exact sum of q * (k[s1] - used[s1]) over r; every
-    # carried k has k >= used.
-    ell, _, count, total, start, pairs, used = path[-1] if path else (
+    ell, _, count, total, start, source = path[-1] if path else (
         0, table.num_indices, 0, table.gammas[t], 0,
-        list(zip(members, table.coefs[t])), (0,) * (mask + 1),
+        (list(zip(members, table.coefs[t])), (0,) * (mask + 1)) if rows is None
+        else sum(map(int.__mul__, members[0], table.codes)),
     )
     total -= count
     ell >>= (n - start) * mp1
-    used = list(used)
     save_from = start + (j >= 0)  # a resumed walk's path already holds its start
+    codes, lut = table.chunk_codes, table.model._index_of_chunk
     for i in range(start, n):
         r = n - i
-        if i >= save_from and (r <= kept or not pairs):
-            if xi is not None:
-                total = sum([q for _, q in pairs])
+        if i >= save_from and (r <= kept or not total):
             shift = r * mp1
-            path.append(
-                (ell << shift, (ell + 1) << shift, count, count + total, i, pairs, tuple(used))
-            )
-        if not pairs:
-            # rank walks only (an unrank walk never leaves class t): no
-            # class-t level extends this prefix, so the count is final
-            break
+            path.append((ell << shift, (ell + 1) << shift, count, count + total, i, source))
+        if not total:
+            break  # a rank's class ran out: the count is final
+        if rows is None:
+            pairs, used = source
+            if xi is None:  # fill until two entries bracket s - count
+                stop, goal = -1, s - count
+                up = 2 * goal <= total
+            else:  # fill entries cx and cx + 1; a trace's, every entry below
+                stop = (xi >> ((r - 1) * mp1)) & mask
+                up = 2 * stop < mask or steps is not None
+                goal = total + 1 if up else 0  # never reached
+            row = _pairs_row(pairs, used, r, total, lut, stats, up, stop, goal)
+        else:
+            row = rows[r][source]
         if xi is None:
-            # scan from the end of (count, count + total] nearer s
-            down = 2 * (s - count) > total
-            order = range(mask, -1, -1) if down else range(mask + 1)
-            for cx in order:
-                s1 = lut[cx] - 1
-                u = used[s1]
-                vals = [q * (k[s1] - u) for k, q in pairs]
-                if cx == order[-1]:
-                    break
-                acc = sum(vals) // r
-                stats.bigint_ops += len(pairs)
-                if down:
-                    if s > count + total - acc:
-                        count += total - acc
-                        total = acc
-                        break
-                elif s <= count + acc:
-                    total = acc
-                    break
-                else:
-                    count += acc
-                total -= acc
-            pairs = [(k, v // r) for (k, _), v in zip(pairs, vals) if v]
+            cx = bisect_left(row, s - count) - 1
         else:
             cx = (xi >> ((r - 1) * mp1)) & mask
-            # plain loops, not comprehensions: pairs is short here, often
-            # one or two, and each comprehension runs in a frame of its own
-            for c in range(cx):
-                s1 = lut[c] - 1
-                u = used[s1]
-                acc = 0
-                for k, q in pairs:
-                    acc += q * (k[s1] - u)
-                acc //= r
-                stats.bigint_ops += len(pairs)
-                count += acc
-                if steps:  # a trace's, holding every 1-bit of xi
-                    steps[i * mp1 + mp1 + 1 - (c ^ cx).bit_length()] += acc
+            if steps:  # a trace's, holding every 1-bit of xi
+                for b in range(cx.bit_length()):
+                    if cx >> b & 1:  # file the values below cx that first differ at b
+                        base = cx >> (b + 1) << (b + 1)
+                        steps[i * mp1 + mp1 - b] += row[base + (1 << b)] - row[base]
+        count += row[cx]
+        total = row[cx + 1] - row[cx]
+        stats.bigint_ops += 1
+        if rows is None:
+            # fixing chunk value cx, outcome s1 + 1, leaves each k its
+            # q * (k[s1] - used[s1]) / r completions
             s1 = lut[cx] - 1
             u = used[s1]
             live = []
             for k, q in pairs:
                 if k[s1] > u:
                     live.append((k, q * (k[s1] - u) // r))
-            pairs = live
-        used[s1] = u + 1
+            source = live, used[:s1] + (u + 1,) + used[s1 + 1:]
+        else:
+            source -= codes[cx]
         ell = (ell << mp1) | cx
-    return ell if xi is None else count + len(pairs)
+    return ell if xi is None else count + total
+
+
+def _pairs_row(pairs, used, r, total, lut, stats, up, stop, goal):
+    """The cumulative row (0, a_0, a_0 + a_1, ..., total) of a prefix
+    counted by pairs, with r chunks left, filled only as far as a step
+    reads it.  a_c, the completions with next chunk value c, is the sum
+    of q * (k[s1] - used[s1]) over r, s1 + 1 being c's outcome: fixing
+    that chunk multiplies the multinomial coefficient q of k - used by
+    (k[s1] - used[s1]) / r.  The row fills from 0 up if up, else from
+    the top down, and stops after value stop or at the first entry that
+    reaches goal (>= goal going up, < goal going down).  Entries not
+    filled hold 0 below and total above, so the row stays sorted, and
+    the far end's a_c is never summed: its share is what is left of
+    total.  Each product summed counts one op in stats.bigint_ops."""
+    m = len(lut)
+    row = [0] + [total] * m if up else [0] * m + [total]
+    for c in range(m - 1) if up else range(m - 1, 0, -1):
+        s1 = lut[c] - 1
+        u = used[s1]
+        acc = 0
+        for k, q in pairs:  # a plain loop: pairs is short, often one
+            acc += q * (k[s1] - u)
+        stats.bigint_ops += len(pairs)
+        if up:
+            row[c + 1] = row[c] + acc // r
+            if c == stop or row[c + 1] >= goal:
+                break
+        else:
+            row[c] = row[c + 1] - acc // r
+            if c == stop or row[c] < goal:
+                break
+    return row
 
 
 def _counts_by_code(table: ValueTable) -> bool:

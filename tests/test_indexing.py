@@ -573,12 +573,24 @@ def _record(table, t):
     return table._cache[("rank", t)][-1]
 
 
-def test_rank_checkpoint_in_any_order(model_a, model_b, model_c):
+def _pairs_table(monkeypatch, model, n):
+    """A new table of model at n whose walks count by pairs, whatever the
+    rule says: the table decides on its first walk."""
+    table = build_value_table(model, n)
+    with monkeypatch.context() as patch:
+        _force(patch, False)
+        indexing._walk_constants(table)
+    return table
+
+
+def test_rank_checkpoint_in_any_order(monkeypatch, model_a, model_b, model_c):
     # every (t, xi) ranked ascending, descending and shuffled, with trace
-    # and unrank walks interleaved, against the running iweight tally
-    for model, n_top in ((model_a, 10), (model_b, 5), (model_c, 4)):
+    # and unrank walks interleaved, against the running iweight tally;
+    # every table here counts by chunk code but the last, forced by pairs
+    cases = ((model_a, 10, False), (model_b, 5, False), (model_c, 4, False), (model_b, 5, True))
+    for model, n_top, by_pairs in cases:
         for n in range(1, n_top + 1):
-            table = build_value_table(model, n)
+            table = _pairs_table(monkeypatch, model, n) if by_pairs else build_value_table(model, n)
             counts = [0] * (table.T + 1)
             want = []
             for xi in range(table.num_indices):
@@ -597,14 +609,17 @@ def test_rank_checkpoint_in_any_order(model_a, model_b, model_c):
                         assert beta_fast_trace(table, t, other).total == want[other][t]
                         s = 1 + j % table.gammas[t]
                         assert beta_fast(table, t, enum_b(table, t, s)) == s
+            assert (table._cache["walk"][1] is None) == by_pairs
 
 
-def test_resumed_rank_equals_fresh_walk():
+def test_resumed_rank_equals_fresh_walk(monkeypatch):
     # seeded levels and their neighbours in the last chunk (xi ^ 1) and in
     # the one before it (xi ^ 2^(M+1)); half the classes are iweight(xi),
-    # whose walks reach the last chunk, and half are drawn at random
-    for name, n in (("B", 32), ("A", 64)):
-        table = build_value_table(builtin_model(name), n)
+    # whose walks reach the last chunk, and half are drawn at random.  B
+    # and A count by chunk code here, and B once more forced by pairs
+    for name, n, by_pairs in (("B", 32, False), ("A", 64, False), ("B", 32, True)):
+        model = builtin_model(name)
+        table = _pairs_table(monkeypatch, model, n) if by_pairs else build_value_table(model, n)
         scan = composition_count(n, table.model.m)
         rng = random.Random(n)
         resumed = [0, 0, 0]
@@ -625,7 +640,8 @@ def test_resumed_rank_equals_fresh_walk():
         # every xi ^ 1 shares the checkpoint's prefix and resumes (saving
         # ops unless its class ran out before any 1-bit); so does an
         # xi ^ 2^(M+1) whose class ran out above the last two chunks
-        assert resumed[1] >= 195 and resumed[2] > 50, (name, resumed)
+        assert resumed[1] >= 195 and resumed[2] > 50, (name, by_pairs, resumed)
+        assert (table._cache["walk"][1] is None) == by_pairs
 
 
 def test_unrank_and_trace_leave_the_fresh_rank_checkpoint(monkeypatch):
@@ -634,6 +650,7 @@ def test_unrank_and_trace_leave_the_fresh_rank_checkpoint(monkeypatch):
     _force(monkeypatch, False)
     table = build_value_table(builtin_model("B"), 32)
     rng = random.Random(7)
+    m = table.model.m
     costs = [0, 0]
     for _ in range(50):
         t = rng.randrange(table.T + 1)
@@ -642,28 +659,32 @@ def test_unrank_and_trace_leave_the_fresh_rank_checkpoint(monkeypatch):
         # the unrank leaves the state a fresh rank of its level leaves: on
         # entering the last chunk, where at most m compositions are live
         record = _record(table, t)
-        _, _, _, _, depth, pairs, _ = record
-        assert depth == table.n - 1 and 1 <= len(pairs) <= table.model.m
+        _, _, _, _, depth, (pairs, used) = record
+        assert depth == table.n - 1 and 1 <= len(pairs) <= m
+        assert sum(used) == depth
         table._cache.pop(("rank", t))
         before = table.stats.snapshot()
         assert beta_fast(table, t, ell) == s
         fresh = table.stats.delta(before).bigint_ops
         assert _record(table, t) == record
-        # so a rank of that level resumes at its last chunk, whose pass
-        # runs over the chunk values below ell's
+        # so a rank of that level resumes at its last chunk: one step,
+        # whose row fills entries cx and cx + 1 from the nearer end,
+        # summing each live pair's product for every value it passes
         enum_b(table, t, s)
         before = table.stats.snapshot()
         assert beta_fast(table, t, ell) == s
         resumed = table.stats.delta(before).bigint_ops
-        assert resumed == (ell & (table.model.m - 1)) * len(pairs) <= fresh
+        cx = ell & (m - 1)
+        assert resumed == 1 + min(cx + 1, m - cx) * len(pairs) <= fresh
         costs[0] += resumed
         costs[1] += fresh
         # the trace walks from chunk 1 even where the checkpoint fits,
-        # and leaves the record the fresh rank left
+        # and leaves the record the fresh rank left; its rows fill every
+        # entry up to cx + 1, so it sums at least what the rank sums
         record = _record(table, t)
         before = table.stats.snapshot()
         assert beta_fast_trace(table, t, ell).total == s
-        assert table.stats.delta(before).bigint_ops == fresh
+        assert table.stats.delta(before).bigint_ops >= fresh
         assert _record(table, t) == record
     assert costs[0] < costs[1], costs
 
@@ -730,12 +751,14 @@ def test_trace_leaves_the_path_of_a_rank_from_the_root(model_a, model_b, model_c
         assert ran_out > 50, (n, ran_out)
 
 
-def test_unranks_in_rank_order_resume():
+def test_unranks_in_rank_order_resume(monkeypatch):
     # every rank of every class in order: each unrank resumes from the
     # path the one before left, returns what a walk from chunk 1 returns
-    # at no higher cost, and leaves the path that walk leaves
-    for name, n in (("A", 16), ("B", 8)):
-        table = build_value_table(builtin_model(name), n)
+    # at no higher cost, and leaves the path that walk leaves; A and B
+    # count by chunk code, and B once more forced by pairs
+    for name, n, by_pairs in (("A", 16, False), ("B", 8, False), ("B", 7, True)):
+        model = builtin_model(name)
+        table = _pairs_table(monkeypatch, model, n) if by_pairs else build_value_table(model, n)
         stats = table.stats
         costs = [0, 0]
         for t in range(table.T + 1):
@@ -751,7 +774,8 @@ def test_unranks_in_rank_order_resume():
                 assert table._cache[("rank", t)] == path
                 costs[0] += resumed
                 costs[1] += fresh
-        assert costs[0] < costs[1], (name, costs)
+        assert costs[0] < costs[1], (name, by_pairs, costs)
+        assert (table._cache["walk"][1] is None) == by_pairs
 
 
 def test_checkpoint_paths_stay_bounded():
@@ -812,6 +836,38 @@ def test_fresh_walks_digest_pinned(tables):
     assert whole.hexdigest() == FRESH_WALKS_DIGEST
 
 
+# sha256 over (model, n, t, argument, result, tau1 delta) of seeded walks
+# on haar_m2 at n = 12 and A at n = 362, the first tables past the row
+# budget, which count by pairs with nothing forced: each call from chunk
+# 1, then a rank of a neighbouring level and the next rank's unrank
+# resumed from the path it left.  Pinned while the pairs walk still had
+# its own passes
+PAIRS_WALK_RESULTS_DIGEST = "da15bd2e4dd8ab221a1057584fcb016464cb6b799f1852917e8f48b679cecedd"
+
+
+def test_pairs_walk_results_digest_pinned():
+    digest = hashlib.sha256()
+    haar = load_model(str(HAAR_M2))
+    for name, model, n in (("haar_m2", haar, 12), ("A", builtin_model("A"), 362)):
+        table = build_value_table(model, n)
+        rng = random.Random(n)
+        for j in range(60):
+            xi = rng.randrange(table.num_indices)
+            t = iweight(table, xi) if j % 2 else rng.randrange(table.T + 1)
+            s = 1 + rng.randrange(table.gammas[t])
+            fresh = [(beta_fast, xi), (beta_fast_trace, xi), (enum_b, s)]
+            resumed = [(beta_fast, xi ^ 1), (enum_b, s % table.gammas[t] + 1)]
+            for k, (call, arg) in enumerate(fresh + resumed):
+                if k < len(fresh):
+                    table._cache.pop(("rank", t), None)
+                before = table.stats.tau1_queries
+                got = call(table, t, arg)
+                record = (name, n, t, arg, got, table.stats.tau1_queries - before)
+                digest.update(repr(record).encode())
+        assert table._cache["walk"][1] is None
+    assert digest.hexdigest() == PAIRS_WALK_RESULTS_DIGEST
+
+
 # bigint_ops of f_perm at 200 seeded levels of B at n = 32, each walk from
 # chunk 1: B at n = 32 counts by chunk code, one row read per chunk
 FRESH_UNRANK_BIGINT_OPS = 200 * 32
@@ -833,8 +889,8 @@ def test_fresh_unrank_bigint_ops_pinned(tables):
 @pytest.mark.parametrize("name, n", [("B", 32), ("A", 64)])
 def test_fresh_unrank_at_block_ends_and_direction_switch(monkeypatch, tables, name, n):
     # by pairs (A, forced: the rule counts A at n = 64 by chunk code),
-    # s = gamma_t // 2 is the last rank scanned up from chunk value 0 at
-    # chunk 1, and gamma_t // 2 + 1 the first scanned down from m - 1; by
+    # s = gamma_t // 2 is the last rank whose chunk-1 row fills up from
+    # entry 0, and gamma_t // 2 + 1 the first that fills down from m; by
     # code (B), the ranks at both ends and the middle of a block
     if name == "A":
         _force(monkeypatch, False)

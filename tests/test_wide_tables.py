@@ -104,7 +104,7 @@ for by_code in (True, False):
         for t, xi, s in walks
     ])
 assert got[0] == got[1]
-print(most, (table.model.m - 1) * table.n)
+print(most, table.n)
 """
 
 
@@ -158,8 +158,8 @@ def test_one_past_the_budget_is_refused(time_limit):
 
 def test_fresh_unrank_at_width_380_counts_by_code():
     # B at n = 190, the widest B that MAX_COMPOSITIONS admits, counts by
-    # chunk code: a fresh f_perm makes at most m - 1 lookups per chunk,
+    # chunk code: a fresh f_perm takes one step, one row read, per chunk,
     # and ranks, traces and unranks agree with the table forced to count
     # by pairs
-    most, bound = map(int, _child(B_190))
-    assert 0 < most <= bound
+    most, n = map(int, _child(B_190))
+    assert most == n == 190
