@@ -14,7 +14,11 @@ Conventions, fixed once and used everywhere:
   weight_classes, F_n and the admissibility check add their codes.
 * iweight(ell) is the value class of the level's outcome sum (the
   weight-side class), looked up without decoding by the sum of its
-  chunks' lattice codes (table.chunk_codes, see multinomial).
+  chunks' lattice codes (table.chunk_codes, see multinomial).  That sum
+  is n w_{} + sum_{S nonempty} w_S popcount(AND_{b in S} (ell >> b) & unit):
+  w is the subset transform of the chunk codes over the chunk's bits,
+  and unit has the lowest bit of every chunk set, so it takes m - 1
+  ANDs and bit counts whatever n is (table.code_planes).
   istep(ell) is the unique t with SMC(t) <= ell < SMC(t+1) (the
   step-side class).  is_n / is_star are the corresponding class values;
   is_star over ell = 0..m^n-1 is the sorted rearrangement of is_n.
@@ -64,14 +68,15 @@ one rule, sum_{r<n} min(T + 1, |K_r|) <= max(|K_n|, ROW_BUDGET)
 * By pairs.  The walk carries every class-t composition that still
   extends the prefix with its number of completions, and a_c is a sum
   over them.  The row is filled only as far as the step reads it, from
-  the end nearer what it reads: entries cx and cx + 1 for a rank, the
-  two entries that bracket s for an unrank; a trace fills every entry
-  up to cx + 1 from 0 up.  Entries not filled hold 0 below and total
-  above, so the row stays sorted, and the far end's a_c is never
-  summed: its share is what is left.  The rule sends a table here when
-  its counts would outgrow both its compositions and the budget, so its
-  classes are small and many: A from n = 362, C from n = 38 and the Haar
-  model from n = 12.
+  the end nearer what it reads: the two entries that bracket s for an
+  unrank, and for a rank only the values strictly on cx's nearer side,
+  as a_cx is the sum of the next pairs' completions, which the step
+  builds anyway; a trace fills every value below cx from 0 up.  Entries
+  not filled hold 0 below and total above, so the row stays sorted, and
+  the far end's a_c is never summed: its share is what is left.  The
+  rule sends a table here when its counts would outgrow both its
+  compositions and the budget, so its classes are small and many: A
+  from n = 362, C from n = 38 and the Haar model from n = 12.
 
 The class is known only through the tau1 oracle: each beta_fast or
 enum_b call (so each f_perm or inv_f) makes exactly one bulk tau1 scan
@@ -81,17 +86,20 @@ t's code from the first member the scan returns.
 
 Every walk starts from a state: its depth, its blocks of levels and of
 ranks, and rest (by code) or the compositions still live (by pairs).
-Each class keeps a checkpoint path in the table's cache: the states of
-its walks on entering each of the last few chunks (about log_m n of
-them), or where the class ran out.  A walk resumes from the deepest
-state that holds it (its level for a rank, its rank for an unrank), or
-from the class root, and replaces the states below that.  So the walks
-of neighbouring levels or ranks (an exhaustive sweep, f_perm over
-consecutive levels, gamma_relation after inv_f, or inv_f after f_perm)
-count only what differs.  A resumed walk still pays its bulk tau1 scan;
+Each class keeps a checkpoint path: the states of its walks on entering
+each of the last few chunks (about log_m n of them), or where the class
+ran out.  The paths live in the table's one walk record, kept in its
+cache under "walk" with the rows and what every walk reads of the table
+(_walk_constants), so a walk finds its class's path and its constants
+with one lookup.  A walk resumes from the deepest state that holds it
+(its level for a rank, its rank for an unrank), or from the class root,
+and replaces the states below that.  So the walks of neighbouring
+levels or ranks (an exhaustive sweep, f_perm over consecutive levels,
+gamma_relation after inv_f, or inv_f after f_perm) count only what
+differs.  A resumed walk still pays its bulk tau1 scan;
 table.stats.bigint_ops counts only the arithmetic it does: one op per
-chunk step on either source, plus one per composition product summed
-into a pairs row entry.
+chunk step on either source, added once per walk, plus one per
+composition product summed into a pairs row entry.
 beta_fast_trace is a rank from the class root that files each count
 under its 1-bit of xi, and leaves the path such a rank leaves.
 """
@@ -159,12 +167,16 @@ def encode_weight_index(model: OutcomeModel, svec: Sequence[int]) -> int:
 
 def iweight(table: ValueTable, ell: int) -> int:
     """Value class of the outcome sum at ell (weight side): the class of
-    the sum of its chunks' lattice codes, with no decode."""
+    the sum of its chunks' lattice codes, with no decode, taken over the
+    bit planes of table.code_planes."""
     _check_level(table, ell)
-    mask = table.model.m - 1
-    codes = table.chunk_codes
-    shifts = range(0, table.width, table.model.M + 1)
-    return table._class_by_code[sum([codes[(ell >> k) & mask] for k in shifts])]
+    unit, total, terms = table.code_planes
+    planes = [unit]
+    for low, b, w in terms:
+        plane = planes[low] & (ell >> b)
+        planes.append(plane)
+        total += w * plane.bit_count()
+    return table._class_by_code[total]
 
 
 def istep(table: ValueTable, ell: int) -> int:
@@ -222,7 +234,7 @@ def beta_fast(table: ValueTable, t: int, xi: int) -> int:
     """beta by ranking xi in the counting loop; one bulk tau1 scan."""
     table._check_class(t)
     _check_level(table, xi, "cutoff xi")
-    return _count_walk(table, t, xi=xi)
+    return _count_walk(table, t, xi, 0, None)
 
 
 def beta_fast_trace(table: ValueTable, t: int, xi: int) -> BetaWalk:
@@ -234,16 +246,16 @@ def beta_fast_trace(table: ValueTable, t: int, xi: int) -> BetaWalk:
     _check_level(table, xi, "cutoff xi")
     _forget_path(table, t)
     steps = {z: 0 for z in range(1, table.width + 1) if xi >> (table.width - z) & 1}
-    total = _count_walk(table, t, xi=xi, steps=steps)
+    total = _count_walk(table, t, xi, 0, steps)
     return BetaWalk(t, xi, total, total - sum(steps.values()), list(steps.items()))
 
 
 def _count_walk(
     table: ValueTable,
     t: int,
-    xi: Optional[int] = None,
-    s: int = 0,
-    steps: Optional[Dict[int, int]] = None,
+    xi: Optional[int],
+    s: int,
+    steps: Optional[Dict[int, int]],
 ) -> int:
     """The counting loop over the class-t levels, chunk by chunk.
 
@@ -261,8 +273,8 @@ def _count_walk(
     runs out, and the level of rank s for an unrank.
 
     Only the row's source differs between the two ways of counting,
-    chosen on the table's first walk (_walk_constants) and read once at
-    the top of every walk:
+    chosen on the table's first walk and kept in its walk record
+    (_walk_constants), which every walk reads with one lookup:
 
     * by code, the source is rest, class t's code minus the prefix's.
       With r chunks left the completions are N_r(rest), the r-chunk
@@ -272,40 +284,42 @@ def _count_walk(
       that extends the prefix with q, its number of completions, and the
       prefix's outcome counts.  The row is a sum over the pairs
       (_pairs_row), filled only as far as the step reads it, from the
-      end nearer what it reads: entries cx and cx + 1 for a rank (a
-      trace's, every entry up to cx + 1, from 0 up) and the two entries
-      that bracket s - count for an unrank.  The step then keeps each k
-      that has cx's outcome left, with its completions after cx.
+      end nearer what it reads: the two entries that bracket s - count
+      for an unrank, and for a rank only the values strictly on cx's
+      nearer side (a trace's, every value below cx, from 0 up).  The
+      step then keeps each k that has cx's outcome left, with its
+      completions after cx, which sum to a_cx: a rank takes its total
+      from them, and the rest of its row from the entry filled.  Where
+      cx's nearer side holds no value (cx = 0, or the top value; every
+      chunk at m = 2) a rank builds no row at all.
 
     Every walk starts from a state (lo, hi, count, count + total, i,
     source): at depth i, the block of levels that share its top i
     chunks, [lo, hi), and the block of ranks.  The class root is depth
     0, [0, m^n), (0, gamma_t] and class t's code, or every class-t pair
-    and nothing used.  A walk starts from the deepest state of its
-    class's checkpoint path in table._cache that holds it (xi in the
-    level block, or s in the rank block), else from the root, and
-    replaces the states below that with its own on entering each of the
-    last D chunks (D the least d with m^d >= n, plus one), or the one
-    state where the class ran out.  With r chunks left at most
-    C(r + m - 1, m - 1) pairs are live, so a path holds at most
-    C(D + m, m) - 1 pairs.  Every call makes the one bulk tau1 scan of
-    the class, and table.stats.bigint_ops counts one op per step plus
-    one per composition product summed into a pairs row entry.
+    and nothing used.  Class t's checkpoint path is list t of the walk
+    record's paths.  A walk starts from its deepest state that holds it
+    (a rank looks for xi in the level block, an unrank for s in the rank
+    block), else from the root, and replaces the states below that with
+    its own on entering each of the last D chunks (D the least d with
+    m^d >= n, plus one), or the one state where the class ran out.  With
+    r chunks left at most C(r + m - 1, m - 1) pairs are live, so a path
+    holds at most C(D + m, m) - 1 pairs.  Every call makes the one bulk
+    tau1 scan of the class, and table.stats.bigint_ops counts one op per
+    step, added once per walk, plus one per composition product summed
+    into a pairs row entry.
     """
-    n = table.n
-    mp1 = table.model.M + 1
-    mask = table.model.m - 1
-    stats = table.stats
     members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
-    path = table._cache.setdefault(("rank", t), [])
-    # a rank looks up xi in fields 0 and 1 of a state, its level block,
-    # and an unrank s - 1 in fields 2 and 3, its rank block
-    lo, target = (0, xi) if xi is not None else (2, s - 1)
+    kept, rows, paths, n, mp1, mask, codes, lut = table._cache.get("walk") or _walk_constants(table)
+    path = paths[t]
     j = len(path) - 1
-    while j >= 0 and not path[j][lo] <= target < path[j][lo + 1]:
-        j -= 1
+    if xi is None:  # an unrank's rank block, fields 2 and 3, holds s
+        while j >= 0 and not path[j][2] < s <= path[j][3]:
+            j -= 1
+    else:  # a rank's level block, fields 0 and 1, holds xi
+        while j >= 0 and not path[j][0] <= xi < path[j][1]:
+            j -= 1
     del path[j + 1:]
-    kept, rows = table._cache.get("walk") or _walk_constants(table)
     ell, _, count, total, start, source = path[-1] if path else (
         0, table.num_indices, 0, table.gammas[t], 0,
         (list(zip(members, table.coefs[t])), (0,) * (mask + 1)) if rows is None
@@ -314,7 +328,6 @@ def _count_walk(
     total -= count
     ell >>= (n - start) * mp1
     save_from = start + (j >= 0)  # a resumed walk's path already holds its start
-    codes, lut = table.chunk_codes, table.model._index_of_chunk
     for i in range(start, n):
         r = n - i
         if i >= save_from and (r <= kept or not total):
@@ -322,61 +335,74 @@ def _count_walk(
             path.append((ell << shift, (ell + 1) << shift, count, count + total, i, source))
         if not total:
             break  # a rank's class ran out: the count is final
-        if rows is None:
+        if xi is not None:
+            cx = (xi >> ((r - 1) * mp1)) & mask
+        if rows is not None:
+            row = rows[r][source]
+        else:
             pairs, used = source
             if xi is None:  # fill until two entries bracket s - count
-                stop, goal = -1, s - count
+                goal = s - count
                 up = 2 * goal <= total
-            else:  # fill entries cx and cx + 1; a trace's, every entry below
-                stop = (xi >> ((r - 1) * mp1)) & mask
-                up = 2 * stop < mask or steps is not None
-                goal = total + 1 if up else 0  # never reached
-            row = _pairs_row(pairs, used, r, total, lut, stats, up, stop, goal)
-        else:
-            row = rows[r][source]
+                row = _pairs_row(pairs, used, r, total, lut, table.stats,
+                                 range(mask) if up else range(mask, 0, -1), goal)
+            else:  # fill the values strictly on cx's nearer side, if it has any
+                up = 2 * cx < mask or steps is not None
+                near = range(cx) if up else range(mask, cx, -1)
+                row = _pairs_row(pairs, used, r, total, lut, table.stats,
+                                 near, total + 1 if up else 0) if near else None
         if xi is None:
             cx = bisect_left(row, s - count) - 1
-        else:
-            cx = (xi >> ((r - 1) * mp1)) & mask
-            if steps:  # a trace's, holding every 1-bit of xi
-                for b in range(cx.bit_length()):
-                    if cx >> b & 1:  # file the values below cx that first differ at b
-                        base = cx >> (b + 1) << (b + 1)
-                        steps[i * mp1 + mp1 - b] += row[base + (1 << b)] - row[base]
-        count += row[cx]
-        total = row[cx + 1] - row[cx]
-        stats.bigint_ops += 1
+        elif steps:  # a trace's, holding every 1-bit of xi
+            for b in range(cx.bit_length()):
+                if cx >> b & 1:  # file the values below cx that first differ at b
+                    base = cx >> (b + 1) << (b + 1)
+                    steps[i * mp1 + mp1 - b] += row[base + (1 << b)] - row[base]
+        if row is not None:  # None: a pairs rank with no value on cx's nearer side
+            count += row[cx]
+            total = row[cx + 1] - row[cx]
         if rows is None:
             # fixing chunk value cx, outcome s1 + 1, leaves each k its
-            # q * (k[s1] - used[s1]) / r completions
+            # q * (k[s1] - used[s1]) / r completions, a_cx in all
             s1 = lut[cx] - 1
             u = used[s1]
-            live = []
+            live, a_cx = [], 0
             for k, q in pairs:
                 if k[s1] > u:
-                    live.append((k, q * (k[s1] - u) // r))
+                    q = q * (k[s1] - u) // r
+                    live.append((k, q))
+                    a_cx += q
             source = live, used[:s1] + (u + 1,) + used[s1 + 1:]
+            if xi is not None:  # a rank's row was exact on cx's nearer side only
+                if not up:
+                    count += total - a_cx
+                total = a_cx
         else:
             source -= codes[cx]
         ell = (ell << mp1) | cx
+    else:
+        i = n  # every chunk fixed
+    table.stats.bigint_ops += i - start  # one op per step
     return ell if xi is None else count + total
 
 
-def _pairs_row(pairs, used, r, total, lut, stats, up, stop, goal):
+def _pairs_row(pairs, used, r, total, lut, stats, values, goal):
     """The cumulative row (0, a_0, a_0 + a_1, ..., total) of a prefix
     counted by pairs, with r chunks left, filled only as far as a step
     reads it.  a_c, the completions with next chunk value c, is the sum
     of q * (k[s1] - used[s1]) over r, s1 + 1 being c's outcome: fixing
     that chunk multiplies the multinomial coefficient q of k - used by
-    (k[s1] - used[s1]) / r.  The row fills from 0 up if up, else from
-    the top down, and stops after value stop or at the first entry that
-    reaches goal (>= goal going up, < goal going down).  Entries not
-    filled hold 0 below and total above, so the row stays sorted, and
-    the far end's a_c is never summed: its share is what is left of
-    total.  Each product summed counts one op in stats.bigint_ops."""
+    (k[s1] - used[s1]) / r.  The row fills entry c + 1 for each value c
+    of values going up from 0, or entry c going down from the top, and
+    stops early at the first entry that reaches goal (>= goal going up,
+    < goal going down).  Entries not filled hold 0 below and total
+    above, so the row stays sorted, and the far end's a_c is never
+    summed: its share is what is left of total.  Each product summed
+    counts one op in stats.bigint_ops."""
     m = len(lut)
+    up = values.step > 0
     row = [0] + [total] * m if up else [0] * m + [total]
-    for c in range(m - 1) if up else range(m - 1, 0, -1):
+    for c in values:
         s1 = lut[c] - 1
         u = used[s1]
         acc = 0
@@ -385,11 +411,11 @@ def _pairs_row(pairs, used, r, total, lut, stats, up, stop, goal):
         stats.bigint_ops += len(pairs)
         if up:
             row[c + 1] = row[c] + acc // r
-            if c == stop or row[c + 1] >= goal:
+            if row[c + 1] >= goal:
                 break
         else:
             row[c] = row[c + 1] - acc // r
-            if c == stop or row[c] < goal:
+            if row[c] < goal:
                 break
     return row
 
@@ -425,18 +451,22 @@ def _chunk_counts(codes: Sequence[int], depth: int) -> List[Dict[int, int]]:
     return counts
 
 
-def _walk_constants(table: ValueTable) -> Tuple[int, Optional[List[Dict[int, Tuple[int, ...]]]]]:
-    """(D, rows) of table's walks, kept in its cache from its first walk
-    on: D is the least d with m^d >= n, plus one, and rows is None unless
-    _counts_by_code admits the table.  Then rows[r] (1 <= r <= n) maps
-    each code rest with N_r(rest) > 0 to its cumulative row (0, a_0,
-    a_0 + a_1, ..., N_r(rest)), a_c = N_{r-1}(rest - code of c) with c
-    in level order; rows[0] is empty.  So the rows hold N_1 .. N_n, at
-    most the rule's bound plus T + 1 entries of m + 1 ints each: no more
-    than ROW_BUDGET + T + 1 rows on a table admitted by the budget.  At
-    its edge they take about 22 MB at A n = 361 and 28 MB at the M = 2
-    Haar model's n = 11."""
-    kept = -(-(table.n - 1).bit_length() // (table.model.M + 1)) + 1
+def _walk_constants(table: ValueTable) -> tuple:
+    """The walk record of table, kept in its cache under "walk" from its
+    first walk on: (D, rows, paths, n, M + 1, m - 1, chunk_codes,
+    _index_of_chunk).  D is the least d with m^d >= n, plus one, and
+    paths[t] is class t's checkpoint path, at first empty.  rows is None
+    unless _counts_by_code admits the table.  Then rows[r]
+    (1 <= r <= n) maps each code rest with N_r(rest) > 0 to its
+    cumulative row (0, a_0, a_0 + a_1, ..., N_r(rest)),
+    a_c = N_{r-1}(rest - code of c) with c in level order; rows[0] is
+    empty.  So the rows hold N_1 .. N_n, at most the rule's bound plus
+    T + 1 entries of m + 1 ints each: no more than ROW_BUDGET + T + 1
+    rows on a table admitted by the budget.  At its edge they take
+    about 22 MB at A n = 361 and 28 MB at the M = 2 Haar model's
+    n = 11."""
+    model = table.model
+    kept = -(-(table.n - 1).bit_length() // (model.M + 1)) + 1
     rows = None
     if _counts_by_code(table):
         codes = table.chunk_codes
@@ -450,13 +480,19 @@ def _walk_constants(table: ValueTable) -> Tuple[int, Optional[List[Dict[int, Tup
                     row.append(row[-1] + below.get(rest - code, 0))
                 level[rest] = tuple(row)
             rows.append(level)
-    table._cache["walk"] = kept, rows
-    return kept, rows
+    paths = [[] for _ in range(table.T + 1)]
+    walk = table._cache["walk"] = (
+        kept, rows, paths, table.n, model.M + 1, model.m - 1,
+        table.chunk_codes, model._index_of_chunk,
+    )
+    return walk
 
 
 def _forget_path(table: ValueTable, t: int):
-    """Drop class t's checkpoint path, so its next walk starts from the class root."""
-    table._cache.pop(("rank", t), None)
+    """Empty class t's checkpoint path, so its next walk starts from the class root."""
+    walk = table._cache.get("walk")
+    if walk:
+        walk[2][t].clear()
 
 
 def enum_a(table: ValueTable, t: int, s: int) -> int:
@@ -470,7 +506,7 @@ def enum_b(table: ValueTable, t: int, s: int) -> int:
     """s-th smallest element of IB_{n,t}, by unranking s in the counting loop."""
     table._check_class(t)
     _check_s(table, t, s)
-    ell = _count_walk(table, t, s=s)
+    ell = _count_walk(table, t, None, s, None)
     if iweight(table, ell) != t:
         raise DomainError(
             f"enum_b postcondition failed: iweight({ell}) != {t}"

@@ -24,6 +24,10 @@ lattice code (codes), the same codes indexed by chunk value
 (chunk_codes) and a dict from class code to t, so a composition's class
 is the class of sum_s k_s codes[s], and a level's class is the class of
 the sum of its chunks' codes, read off the level without decoding it.
+That sum is taken over bit planes, not chunks (code_planes): a chunk's
+code is a multilinear function of its M + 1 bits, so the sum over the n
+chunks needs one AND and one bit count per nonempty set of bits, m - 1
+in all, whatever n is.
 
 tau1 is the class-membership oracle: tau1(k, t) = 1 iff composition k
 lies in class t.  Algorithms downstream are measured by how many tau1
@@ -136,6 +140,17 @@ class ValueTable:
     code, chunk_codes[c] is the code of the outcome whose pattern has
     chunk value c, and _class_by_code maps each class's code,
     sum_s k_s codes[s - 1] for any member k, to t.
+
+    code_planes = (unit, base, terms) sums the chunk codes of a level
+    (indexing.iweight).  With w_S the subset (Moebius) transform of
+    chunk_codes over the sets S of chunk bits, chunk_codes[c] is the sum
+    of w_S over the S whose bits are all set in c.  So a level's code
+    sum is n w_{} plus, over the nonempty S, w_S times the number of
+    chunks with every bit of S set: the bit count of plane S, the AND
+    over b in S of (ell >> b) & unit, where unit has the lowest bit of
+    every chunk set.  base is n w_{}, and terms lists (low, b, w_S) for
+    S = 1 .. m - 1, plane S being plane low AND ell >> b, b the top bit
+    of S and low = S without it (plane 0 is unit).
     """
 
     def __init__(
@@ -157,6 +172,7 @@ class ValueTable:
         self.smc = tuple(smc)
         self.codes = tuple(codes)
         self.chunk_codes = tuple(self.codes[s - 1] for s in model._index_of_chunk)
+        self.code_planes = _code_planes(self.chunk_codes, n, model.M + 1)
         self._class_by_code = {c: t for t, c in enumerate(class_codes)}
         self.stats = OracleStats()
         self._cache: dict = {}
@@ -222,6 +238,22 @@ class ValueTable:
 
     def __repr__(self):
         return f"ValueTable(n={self.n}, classes={self.T + 1}, m^n={self.num_indices})"
+
+
+def _code_planes(chunk_codes: Sequence[int], n: int, mp1: int):
+    """ValueTable.code_planes of n chunks of mp1 bits each."""
+    w = list(chunk_codes)
+    for b in range(mp1):  # w[S] -= w[S - {b}] over every S holding b
+        bit = 1 << b
+        for S in range(len(w)):
+            if S & bit:
+                w[S] -= w[S ^ bit]
+    unit = ((1 << n * mp1) - 1) // ((1 << mp1) - 1)
+    terms = []
+    for S in range(1, len(w)):
+        b = S.bit_length() - 1
+        terms.append((S ^ (1 << b), b, w[S]))
+    return unit, n * w[0], tuple(terms)
 
 
 def build_value_table(model: OutcomeModel, n: int) -> ValueTable:

@@ -116,6 +116,30 @@ def test_iweight_is_the_class_of_the_decoded_sum(tables, name, n):
         assert table.values[iweight(table, ell)] == total, (name, ell)
 
 
+def _iweight_by_chunks(table, ell):
+    """iweight as the sum of the level's n chunk codes, one chunk at a
+    time: the reference for the bit-plane sum."""
+    mask = table.model.m - 1
+    shifts = range(0, table.width, table.model.M + 1)
+    return table._class_by_code[sum(table.chunk_codes[(ell >> k) & mask] for k in shifts)]
+
+
+def test_iweight_from_bit_planes_is_the_chunk_sum(tables):
+    # haar_m2 has M = 2, a three-bit transform with four plane ANDs:
+    # every level to n = 3; then seeded levels of the widest A, a wide B
+    # and the widest haar_m2 that counts by chunk code
+    haar = load_model(str(HAAR_M2))
+    for n in (1, 2, 3):
+        table = build_value_table(haar, n)
+        for ell in range(table.num_indices):
+            assert iweight(table, ell) == _iweight_by_chunks(table, ell), (n, ell)
+    for table in (tables("A", 1024), tables("B", 128), build_value_table(haar, 11)):
+        rng = random.Random(table.width)
+        for _ in range(2000):
+            ell = rng.randrange(table.num_indices)
+            assert iweight(table, ell) == _iweight_by_chunks(table, ell), (table, ell)
+
+
 def test_smc_is_least_level_of_class(tables):
     for name, n in (("A", 4), ("B", 2), ("C", 2)):
         table = tables(name, n)
@@ -568,9 +592,14 @@ def test_a_huge_int_in_any_message_is_a_domain_error(tables, case):
 # shared, and their checkpoints depend on which walks ran before.
 
 
+def _paths(table):
+    """Every class's checkpoint path, from the table's walk record."""
+    return table._cache["walk"][2]
+
+
 def _record(table, t):
     """The deepest state of class t's checkpoint path."""
-    return table._cache[("rank", t)][-1]
+    return _paths(table)[t][-1]
 
 
 def _pairs_table(monkeypatch, model, n):
@@ -581,6 +610,34 @@ def _pairs_table(monkeypatch, model, n):
         _force(patch, False)
         indexing._walk_constants(table)
     return table
+
+
+def test_paths_live_in_the_walk_record(monkeypatch):
+    # lazy calls of every kind leave one walk key in the cache, whose
+    # record holds a path per class; forgetting a class empties its path
+    # and no other
+    for by_pairs in (False, True):
+        model = builtin_model("B")
+        table = _pairs_table(monkeypatch, model, 8) if by_pairs else build_value_table(model, 8)
+        rng = random.Random(8)
+        for _ in range(100):
+            ell = rng.randrange(table.num_indices)
+            image = f_perm(table, ell)
+            assert inv_f(table, image) == ell and gamma_relation(table, ell, image)
+            beta_fast_trace(table, iweight(table, ell), ell)
+        assert set(table._cache) == {"walk"}
+        paths = _paths(table)
+        assert len(paths) == table.T + 1
+        walked = [t for t, path in enumerate(paths) if path]
+        assert len(walked) > 1
+        before = [path[:] for path in paths]
+        _forget_path(table, walked[0])
+        assert paths[walked[0]] == []
+        assert all(paths[t] == before[t] for t in range(table.T + 1) if t != walked[0])
+    # a table that has not walked has no record, and forgets nothing
+    table = build_value_table(builtin_model("B"), 3)
+    _forget_path(table, 0)
+    assert table._cache == {}
 
 
 def test_rank_checkpoint_in_any_order(monkeypatch, model_a, model_b, model_c):
@@ -630,7 +687,7 @@ def test_resumed_rank_equals_fresh_walk(monkeypatch):
                 before = table.stats.snapshot()
                 got = beta_fast(table, t, x)
                 got_cost = table.stats.delta(before)
-                table._cache.pop(("rank", t), None)
+                _forget_path(table, t)
                 before = table.stats.snapshot()
                 assert beta_fast(table, t, x) == got, (name, t, x)
                 fresh_cost = table.stats.delta(before)
@@ -662,25 +719,25 @@ def test_unrank_and_trace_leave_the_fresh_rank_checkpoint(monkeypatch):
         _, _, _, _, depth, (pairs, used) = record
         assert depth == table.n - 1 and 1 <= len(pairs) <= m
         assert sum(used) == depth
-        table._cache.pop(("rank", t))
+        _forget_path(table, t)
         before = table.stats.snapshot()
         assert beta_fast(table, t, ell) == s
         fresh = table.stats.delta(before).bigint_ops
         assert _record(table, t) == record
         # so a rank of that level resumes at its last chunk: one step,
-        # whose row fills entries cx and cx + 1 from the nearer end,
+        # whose row fills only the values strictly on cx's nearer side,
         # summing each live pair's product for every value it passes
         enum_b(table, t, s)
         before = table.stats.snapshot()
         assert beta_fast(table, t, ell) == s
         resumed = table.stats.delta(before).bigint_ops
         cx = ell & (m - 1)
-        assert resumed == 1 + min(cx + 1, m - cx) * len(pairs) <= fresh
+        assert resumed == 1 + min(cx, m - 1 - cx) * len(pairs) <= fresh
         costs[0] += resumed
         costs[1] += fresh
         # the trace walks from chunk 1 even where the checkpoint fits,
         # and leaves the record the fresh rank left; its rows fill every
-        # entry up to cx + 1, so it sums at least what the rank sums
+        # value below cx, so it sums at least what the rank sums
         record = _record(table, t)
         before = table.stats.snapshot()
         assert beta_fast_trace(table, t, ell).total == s
@@ -705,7 +762,7 @@ def test_unrank_and_trace_leave_the_fresh_rank_code_state():
         assert depth == n - 1 and count < s <= end
         assert rest == table.chunk_codes[ell & mask]
         # a fresh rank reads one row per chunk, and leaves the same state
-        table._cache.pop(("rank", t))
+        _forget_path(table, t)
         before = table.stats.bigint_ops
         assert beta_fast(table, t, ell) == s
         fresh = table.stats.bigint_ops - before
@@ -739,12 +796,12 @@ def test_trace_leaves_the_path_of_a_rank_from_the_root(model_a, model_b, model_c
             before = table.stats.bigint_ops
             count = beta_fast(table, t, xi)
             cost = table.stats.bigint_ops - before
-            path = table._cache[("rank", t)][:]
+            path = _paths(table)[t][:]
             enum_b(table, t, 1 + rng.randrange(table.gammas[t]))
             before = table.stats.bigint_ops
             assert beta_fast_trace(table, t, xi).total == count
             assert table.stats.bigint_ops - before == cost, (n, t, xi)
-            assert table._cache[("rank", t)] == path, (n, t, xi)
+            assert _paths(table)[t] == path, (n, t, xi)
             # the class ran out (an empty rank block) above the last D
             # chunks, whose states are kept
             ran_out += len(path) == 1 and path[0][2] == path[0][3] and path[0][4] < n - kept
@@ -766,12 +823,13 @@ def test_unranks_in_rank_order_resume(monkeypatch):
                 before = stats.bigint_ops
                 got = enum_b(table, t, s)
                 resumed = stats.bigint_ops - before
-                path = table._cache.pop(("rank", t))
+                path = _paths(table)[t][:]
+                _forget_path(table, t)
                 before = stats.bigint_ops
                 assert enum_b(table, t, s) == got, (name, t, s)
                 fresh = stats.bigint_ops - before
                 assert resumed <= fresh, (name, t, s)
-                assert table._cache[("rank", t)] == path
+                assert _paths(table)[t] == path
                 costs[0] += resumed
                 costs[1] += fresh
         assert costs[0] < costs[1], (name, by_pairs, costs)
@@ -795,7 +853,7 @@ def test_checkpoint_paths_stay_bounded():
     for table in (table_b, table_a):
         m, n = table.model.m, table.n
         bound = next(d for d in range(n + 1) if m**d >= n) + 1
-        paths = [table._cache.get(("rank", t), []) for t in range(table.T + 1)]
+        paths = _paths(table)
         assert sum(map(len, paths)) > table.T
         for path in paths:
             depths = [state[4] for state in path]
@@ -825,7 +883,7 @@ def test_fresh_walks_digest_pinned(tables):
             t = iweight(table, xi) if j % 2 else rng.randrange(table.T + 1)
             s = 1 + rng.randrange(table.gammas[t])
             for call, arg in ((beta_fast, xi), (beta_fast_trace, xi), (enum_b, s)):
-                table._cache.pop(("rank", t), None)
+                _forget_path(table, t)
                 before = table.stats.snapshot()
                 got = call(table, t, arg)
                 cost = table.stats.delta(before)
@@ -859,7 +917,7 @@ def test_pairs_walk_results_digest_pinned():
             resumed = [(beta_fast, xi ^ 1), (enum_b, s % table.gammas[t] + 1)]
             for k, (call, arg) in enumerate(fresh + resumed):
                 if k < len(fresh):
-                    table._cache.pop(("rank", t), None)
+                    _forget_path(table, t)
                 before = table.stats.tau1_queries
                 got = call(table, t, arg)
                 record = (name, n, t, arg, got, table.stats.tau1_queries - before)
