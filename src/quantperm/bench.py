@@ -20,7 +20,6 @@ reported per named check so a broken table localizes.
 from __future__ import annotations
 
 import math
-import random
 import time
 from array import array
 from collections.abc import Sequence
@@ -39,7 +38,7 @@ from .indexing import (
 )
 from .multinomial import ValueTable, build_value_table
 from .outcomes import OutcomeModel, theta_squared
-from .permutations import admissibility_failure, f_perm, inv_f
+from .permutations import _rng, admissibility_failure, f_perm, inv_f
 
 
 @dataclass
@@ -61,12 +60,21 @@ class BenchResult:
 
 def fit_loglog_slope(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of log y against log x."""
-    if len({x for x, _ in points}) < 2:
+    try:
+        pairs = [(x, y) for x, y in points]
+        distinct = len({x for x, _ in pairs})
+    except (TypeError, ValueError):  # not an iterable of pairs with hashable x
+        raise DomainError(f"slope fit needs (x, y) pairs, got {shown(points)}") from None
+    if distinct < 2:
         raise DomainError("slope fit needs points at two or more distinct x")
-    if any(not (x > 0 and y > 0) for x, y in points):
-        raise DomainError(f"slope fit needs x > 0 and y > 0, got {shown(list(points))}")
-    xs = [math.log(x) for x, _ in points]
-    ys = [math.log(y) for _, y in points]
+    try:
+        positive = all(x > 0 and y > 0 for x, y in pairs)
+    except TypeError:  # x or y is not a number
+        positive = False
+    if not positive:
+        raise DomainError(f"slope fit needs x > 0 and y > 0, got {shown(pairs)}")
+    xs = [math.log(x) for x, _ in pairs]
+    ys = [math.log(y) for _, y in pairs]
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
@@ -88,7 +96,7 @@ def bench_scaling(
         raise DomainError(f"n_list must be non-empty positive integers, got {shown(n_list)}")
     if type(samples_per_n) is not int or samples_per_n < 1:
         raise DomainError(f"samples_per_n must be an integer >= 1, got {shown(samples_per_n)}")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     records: List[BenchRecord] = []
     means: List[Tuple[int, float]] = []
     for n in n_list:
@@ -147,6 +155,7 @@ def _result(name, n, checked, passed, detail=""):
 def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     """All invariant checks for one table; exhaustive in the level indices."""
     n = table.n
+    rng = _rng(seed)
     out: List[CheckResult] = []
 
     # class counts add up to m^n
@@ -165,8 +174,10 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     ) and all(table.smc[t] < table.smc[t + 1] for t in range(table.T + 1))
     out.append(_result("table-monotone", n, table.T + 1, mono))
 
-    # exhaustive fast-vs-sweep beta agreement, and the partition identity
-    # on the fast values: sum_t beta_fast(t, xi) = xi + 1
+    # exhaustive fast-vs-sweep beta agreement: beta_fast at every (t, xi),
+    # each xi's row of T + 1 values compared with the running class counts
+    # in one list comparison (bad_beta counts the rows that differ); and
+    # the partition identity on the fast values: sum_t beta_fast(t, xi) = xi + 1
     wc = weight_classes(table)
     counts = [0] * (table.T + 1)
     bad_beta = 0
@@ -176,7 +187,8 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
         counts[wc[xi]] += 1
         betas = [beta_fast(table, t, xi) for t in range(table.T + 1)]
         checked += len(betas)
-        bad_beta += sum(1 for b, c in zip(betas, counts) if b != c)
+        if betas != counts:
+            bad_beta += 1
         if sum(betas) != xi + 1:
             bad_partition += 1
     out.append(_result("beta-equivalence", n, checked, bad_beta == 0))
@@ -220,7 +232,6 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     )
 
     # the walk splits 2^(width - zeta) levels at each 1-bit zeta
-    rng = random.Random(seed)
     width = table.width
     sample = min(8, table.num_indices)
     xis = sorted(rng.randrange(table.num_indices) for _ in range(sample))
@@ -246,7 +257,7 @@ def selftest(model: OutcomeModel, n_max: int, seed: int = 0) -> SelfTestReport:
     if n_max * (model.M + 1) > EXPLICIT_WIDTH_LIMIT:
         raise DomainError(
             f"selftest needs n_max(M+1) <= {EXPLICIT_WIDTH_LIMIT}, "
-            f"got {n_max * (model.M + 1)}"
+            f"got {shown(n_max * (model.M + 1))}"
         )
     report = SelfTestReport()
     if model.haar is not None:

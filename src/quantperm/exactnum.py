@@ -277,6 +277,6 @@ def parse_scalar(text: str, d: int | None = None) -> ExactScalar:
         if pos < len(text) and text[pos] not in "+-":
             raise DomainError(f"invalid scalar text {text!r} at position {pos}")
     if seen_d is not None and d is not None and seen_d != d:
-        raise DomainError(f"scalar {text!r} uses sqrt({seen_d}), expected sqrt({d})")
+        raise DomainError(f"scalar {text!r} uses sqrt({seen_d}), expected sqrt({shown(d)})")
     out_d = seen_d if seen_d is not None else (d if d is not None else 1)
     return ExactScalar(a, b, out_d)

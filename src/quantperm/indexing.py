@@ -96,12 +96,20 @@ with one lookup.  A walk resumes from the deepest state that holds it
 and replaces the states below that.  So the walks of neighbouring
 levels or ranks (an exhaustive sweep, f_perm over consecutive levels,
 gamma_relation after inv_f, or inv_f after f_perm) count only what
-differs.  A resumed walk still pays its bulk tau1 scan;
-table.stats.bigint_ops counts only the arithmetic it does: one op per
-chunk step on either source, added once per walk, plus one per
-composition product summed into a pairs row entry.
+differs.  A rank that resumes where its class ran out (an empty block
+of ranks, as most ranks of an exhaustive sweep do) has no step to take
+and returns that block's count at once.  A resumed walk still pays its
+bulk tau1 scan; table.stats.bigint_ops counts only the arithmetic it
+does: one op per chunk step on either source, added once per walk, plus
+one per composition product summed into a pairs row entry.
 beta_fast_trace is a rank from the class root that files each count
 under its 1-bit of xi, and leaves the path such a rank leaves.
+
+Arguments are checked once per public call, never in the walk.
+beta_fast, enum_b, istep and iweight test theirs in one inline
+condition and call the checkers (ValueTable._check_class, _check_level,
+_check_s) only when it fails, so every message still comes from its
+checker, and the class is checked before the level or the rank.
 """
 
 from __future__ import annotations
@@ -113,7 +121,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, shown
 from .exactnum import ExactScalar
-from .multinomial import ValueTable, composition_count
+from .multinomial import MAX_WIDTH, ValueTable, composition_count
 from .outcomes import OutcomeModel
 
 
@@ -147,6 +155,11 @@ def decode_weight_index(model: OutcomeModel, n: int, ell: int) -> Tuple[int, ...
     mp1 = model.M + 1
     if type(ell) is not int or ell < 0 or ell.bit_length() > n * mp1:
         raise DomainError(f"level index {shown(ell)} out of range [0, 2^{shown(n * mp1)})")
+    if n * mp1 > MAX_WIDTH:
+        raise DomainError(
+            f"decoding at n = {shown(n)} has width n(M+1) = {shown(n * mp1)}, more than "
+            f"MAX_WIDTH = {MAX_WIDTH}"
+        )
     mask = model.m - 1
     lut = model._index_of_chunk
     return tuple(lut[(ell >> ((n - i) * mp1)) & mask] for i in range(1, n + 1))
@@ -169,7 +182,8 @@ def iweight(table: ValueTable, ell: int) -> int:
     """Value class of the outcome sum at ell (weight side): the class of
     the sum of its chunks' lattice codes, with no decode, taken over the
     bit planes of table.code_planes."""
-    _check_level(table, ell)
+    if type(ell) is not int or not 0 <= ell < table.num_indices:
+        _check_level(table, ell)
     unit, total, terms = table.code_planes
     planes = [unit]
     for low, b, w in terms:
@@ -181,7 +195,8 @@ def iweight(table: ValueTable, ell: int) -> int:
 
 def istep(table: ValueTable, ell: int) -> int:
     """The unique t with SMC(t) <= ell < SMC(t+1) (step side)."""
-    _check_level(table, ell)
+    if type(ell) is not int or not 0 <= ell < table.num_indices:
+        _check_level(table, ell)
     return bisect_right(table.smc, ell) - 1
 
 
@@ -232,8 +247,10 @@ class BetaWalk:
 
 def beta_fast(table: ValueTable, t: int, xi: int) -> int:
     """beta by ranking xi in the counting loop; one bulk tau1 scan."""
-    table._check_class(t)
-    _check_level(table, xi, "cutoff xi")
+    if not (type(t) is int and 0 <= t <= table.T
+            and type(xi) is int and 0 <= xi < table.num_indices):
+        table._check_class(t)
+        _check_level(table, xi, "cutoff xi")
     return _count_walk(table, t, xi, 0, None)
 
 
@@ -304,12 +321,15 @@ def _count_walk(
     its own on entering each of the last D chunks (D the least d with
     m^d >= n, plus one), or the one state where the class ran out.  With
     r chunks left at most C(r + m - 1, m - 1) pairs are live, so a path
-    holds at most C(D + m, m) - 1 pairs.  Every call makes the one bulk
-    tau1 scan of the class, and table.stats.bigint_ops counts one op per
-    step, added once per walk, plus one per composition product summed
-    into a pairs row entry.
+    holds at most C(D + m, m) - 1 pairs.  A rank whose state has an
+    empty rank block (class t ran out there) returns its count after the
+    scan and the cut, taking no step.  Only a rank gets there: an
+    unrank's block holds s.  Every call makes the one bulk tau1 scan of
+    the class, and table.stats.bigint_ops counts one op per step, added
+    once per walk, plus one per composition product summed into a pairs
+    row entry.  The callers have checked t, xi and s.
     """
-    members = table._tau1_scan(t)  # one bulk tau1 scan; callers check t
+    members = table._tau1_scan(t)  # one bulk tau1 scan
     kept, rows, paths, n, mp1, mask, codes, lut = table._cache.get("walk") or _walk_constants(table)
     path = paths[t]
     j = len(path) - 1
@@ -320,6 +340,8 @@ def _count_walk(
         while j >= 0 and not path[j][0] <= xi < path[j][1]:
             j -= 1
     del path[j + 1:]
+    if j >= 0 and path[j][2] == path[j][3]:
+        return path[j][2]  # a rank resumed where its class ran out: no step to take
     ell, _, count, total, start, source = path[-1] if path else (
         0, table.num_indices, 0, table.gammas[t], 0,
         (list(zip(members, table.coefs[t])), (0,) * (mask + 1)) if rows is None
@@ -504,8 +526,10 @@ def enum_a(table: ValueTable, t: int, s: int) -> int:
 
 def enum_b(table: ValueTable, t: int, s: int) -> int:
     """s-th smallest element of IB_{n,t}, by unranking s in the counting loop."""
-    table._check_class(t)
-    _check_s(table, t, s)
+    if not (type(t) is int and 0 <= t <= table.T
+            and type(s) is int and 0 < s <= table.gammas[t]):
+        table._check_class(t)
+        _check_s(table, t, s)
     ell = _count_walk(table, t, None, s, None)
     if iweight(table, ell) != t:
         raise DomainError(

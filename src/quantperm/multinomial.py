@@ -208,9 +208,13 @@ class ValueTable:
         k is checked first: a tuple that is not a composition, such as
         (2, 0, -1, 1) for B at n = 2, can still sum to a class's code.
         """
-        key = tuple(k)
+        try:
+            key = tuple(k)
+        except TypeError:  # not iterable: refused below, shown as given
+            key = k
         if (
-            len(key) != self.model.m
+            type(key) is not tuple
+            or len(key) != self.model.m
             or not all(type(x) is int and x >= 0 for x in key)
             or sum(key) != self.n
         ):

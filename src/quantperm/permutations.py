@@ -159,6 +159,10 @@ class AdmissiblePermutation:
         outcome ranks).  Admissibility is not checked here."""
         _require_explicit(table.width)
         model, n = table.model, table.n
+        try:
+            rows = iter(rows)
+        except TypeError:
+            raise DomainError(f"rows must be an iterable of rows, got {shown(rows)}") from None
         levels = array("I")
         for ell, row in enumerate(rows):
             try:
@@ -319,7 +323,7 @@ def count_admissible(table: ValueTable) -> int:
 def random_admissible(table: ValueTable, seed: int) -> AdmissiblePermutation:
     """Uniformly random admissible permutation from a seeded generator."""
     canon = _canonical_mapping(table)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     mapping = array("I")
     # shuffle moves positions, not values: shuffling a class's slice of
     # F_n is applying a shuffled rank permutation to it
@@ -328,3 +332,10 @@ def random_admissible(table: ValueTable, seed: int) -> AdmissiblePermutation:
         rng.shuffle(block)
         mapping.extend(block)
     return AdmissiblePermutation(table, memoryview(mapping).toreadonly())
+
+
+def _rng(seed: int) -> random.Random:
+    """random.Random(seed), for an int seed only."""
+    if type(seed) is not int:
+        raise DomainError(f"seed must be an integer, got {shown(seed)}")
+    return random.Random(seed)

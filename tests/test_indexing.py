@@ -9,6 +9,7 @@ out by hand from the class lists.
 import hashlib
 import random
 from bisect import bisect_right
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,7 @@ from quantperm import (
     model_from_json,
     multinomial_coefficient,
     parse_scalar,
+    random_admissible,
     ria,
     rib,
     selftest,
@@ -492,6 +494,9 @@ BOOL_TAKERS = {
         "samples_per_n",
     ),
     "selftest-n-max": (lambda a, ta: selftest(a, True), "n_max"),
+    "selftest-seed": (lambda a, ta: selftest(a, 1, seed=True), "seed must be"),
+    "bench-seed": (lambda a, ta: bench_scaling(a, "A", [1, 2], seed=True), "seed must be"),
+    "random-seed": (lambda a, ta: random_admissible(ta, True), "seed must be"),
     "multinomial-n": (lambda a, ta: multinomial_coefficient(True, (1, 0)), "sum length"),
     "multinomial-part": (
         lambda a, ta: multinomial_coefficient(1, (True, 0)), "composition entries"
@@ -562,6 +567,7 @@ HUGE_INT_MESSAGES = {
     "bit-depth": (lambda ta: BitString([1]).bit(HUGE), "insufficient depth"),
     "clt-grid": (lambda ta: clt_table(ta, -HUGE), "grid size"),
     "selftest": (lambda ta: selftest(ta.model, -HUGE), "n_max"),
+    "selftest-width": (lambda ta: selftest(ta.model, HUGE), "selftest needs"),
     "multinomial-entry": (lambda ta: multinomial_coefficient(2, (HUGE, 2 - HUGE)), "entries"),
     "multinomial-sum": (lambda ta: multinomial_coefficient(2, (HUGE, 0)), "sums to"),
     "multinomial-n": (lambda ta: multinomial_coefficient(HUGE, (1, 1)), "expected"),
@@ -585,6 +591,46 @@ def test_a_huge_int_in_any_message_is_a_domain_error(tables, case):
     with pytest.raises(DomainError, match=match) as caught:
         call(tables("A", 3))
     assert "int of 20001 bits" in str(caught.value)
+
+
+# beta_fast, enum_b, istep and iweight test their arguments in one inline
+# condition and call the checkers only when it fails, so every message
+# still comes from a checker, and the class is checked before the level
+# or the rank
+def _agrees(call, *checks):
+    """call returns an int when every check passes, and otherwise raises
+    the DomainError message of the first check that fails."""
+    try:
+        for check in checks:
+            check()
+    except DomainError as failed:
+        with pytest.raises(DomainError) as caught:
+            call()
+        return str(caught.value) == str(failed)
+    return type(call()) is int
+
+
+def _edges(top):
+    return (-1, 0, 1, top, top + 1, True, 1.5, 2**5000)
+
+
+def test_inline_guards_agree_with_their_checkers(tables):
+    for name, n in (("B", 5), ("A", 10)):
+        table = tables(name, n)
+        for t in _edges(table.T):
+            check_t = partial(table._check_class, t)
+            for xi in _edges(table.num_indices - 1):
+                assert _agrees(
+                    partial(beta_fast, table, t, xi),
+                    check_t, partial(indexing._check_level, table, xi, "cutoff xi"),
+                ), (name, t, xi)
+            for s in _edges(table.gammas[0]) + _edges(table.gammas[table.T]):
+                assert _agrees(
+                    partial(enum_b, table, t, s), check_t, partial(indexing._check_s, table, t, s)
+                ), (name, t, s)
+        for ell in _edges(table.num_indices - 1):
+            for f in (istep, iweight):
+                assert _agrees(partial(f, table, ell), partial(indexing._check_level, table, ell))
 
 
 # -- the walks' per-class checkpoint path -------------------------------------
@@ -834,6 +880,48 @@ def test_unranks_in_rank_order_resume(monkeypatch):
                 costs[1] += fresh
         assert costs[0] < costs[1], (name, by_pairs, costs)
         assert (table._cache["walk"][1] is None) == by_pairs
+
+
+def test_a_rank_in_a_spent_block_returns_at_once():
+    # a rank that resumes in a block where its class has run out takes no
+    # step: it returns the block's count, leaves its path cut after that
+    # state, as the loop left it (it appended nothing there and stopped),
+    # pays its one tau1 scan and adds no bigint op.  B n = 5 and A n = 10
+    # walk by chunk code and rank every level in every class.  The Haar
+    # model at n = 12 walks by pairs and has 8^12 levels in 47,459
+    # classes, so it ranks runs of consecutive seeded levels in seeded
+    # classes and in the levels' own
+    cases = []
+    for name, n in (("B", 5), ("A", 10)):
+        table = build_value_table(builtin_model(name), n)
+        cases.append((table, range(table.T + 1), range(table.num_indices), 0.6))
+    haar = build_value_table(load_model(str(HAAR_M2)), 12)
+    rng = random.Random(12)
+    starts = [rng.randrange(haar.num_indices - 16) for _ in range(8)]
+    levels = sorted({start + k for start in starts for k in range(16)})
+    classes = {rng.randrange(haar.T + 1) for _ in range(40)} | {iweight(haar, x) for x in levels}
+    cases.append((haar, sorted(classes), levels, 0.8))
+    for table, classes, levels, share in cases:
+        root = build_value_table(table.model, table.n)  # each rank from the class root
+        spent = 0
+        for t in classes:
+            for xi in levels:
+                walk = table._cache.get("walk")
+                path = walk[2][t][:] if walk else []
+                j = max((k for k, state in enumerate(path) if state[0] <= xi < state[1]), default=-1)
+                before = table.stats.snapshot()
+                got = beta_fast(table, t, xi)
+                cost = table.stats.delta(before)
+                if j < 0 or path[j][2] != path[j][3]:
+                    continue
+                spent += 1
+                assert got == path[j][2]
+                assert _paths(table)[t] == path[: j + 1]
+                assert (cost.tau1_queries, cost.bigint_ops) == (table.num_compositions, 0)
+                _forget_path(root, t)
+                assert beta_fast(root, t, xi) == got, (table, t, xi)
+        assert spent > share * len(classes) * len(levels), (table, spent)
+        assert (table._cache["walk"][1] is None) == (table is haar)
 
 
 def test_checkpoint_paths_stay_bounded():
