@@ -61,20 +61,20 @@ class BenchResult:
 def fit_loglog_slope(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of log y against log x."""
     try:
-        pairs = [(x, y) for x, y in points]
-        distinct = len({x for x, _ in pairs})
+        points = list(points)
+        distinct = len({x for x, _ in points})
     except (TypeError, ValueError):  # not an iterable of pairs with hashable x
         raise DomainError(f"slope fit needs (x, y) pairs, got {shown(points)}") from None
     if distinct < 2:
         raise DomainError("slope fit needs points at two or more distinct x")
     try:
-        positive = all(x > 0 and y > 0 for x, y in pairs)
+        positive = all(x > 0 and y > 0 for x, y in points)
     except TypeError:  # x or y is not a number
         positive = False
     if not positive:
-        raise DomainError(f"slope fit needs x > 0 and y > 0, got {shown(pairs)}")
-    xs = [math.log(x) for x, _ in pairs]
-    ys = [math.log(y) for _, y in pairs]
+        raise DomainError(f"slope fit needs x > 0 and y > 0, got {shown(points)}")
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     sxx = sum((x - mx) ** 2 for x in xs)

@@ -20,7 +20,7 @@ PRELUDE = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from quantperm import *
-from quantperm import bench, indexing, permutations
+from quantperm import bench, permutations
 from quantperm.errors import shown
 from quantperm.multinomial import MAX_WIDTH
 """
