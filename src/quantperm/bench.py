@@ -15,6 +15,16 @@ identities, fast-vs-brute beta agreement on every (t, xi), the
 partition identity, admissibility and invertibility of F, the
 representation invariants, and the walk's mass split.  Failures are
 reported per named check so a broken table localizes.
+
+The exhaustive checks of a table take one pass over the levels xi in
+order: the row of beta_fast(t, xi) over every class t, then
+ell = inv_f(xi) and f_perm(ell), which must be xi, filed as
+F_n(ell) = f_perm(ell).  inv_f ranks xi in the class the row just
+ranked it in, and f_perm unranks that rank in the same class, so both
+resume from the checkpoint the row's walk left and take one chunk step
+each.  f_perm(inv_f(xi)) = xi at every xi is the whole inverse check:
+it makes inv_f one-to-one on the m^n levels, so every ell is filed
+once, the filed mapping is F_n, and inv_f is its inverse.
 """
 
 from __future__ import annotations
@@ -39,6 +49,10 @@ from .indexing import (
 from .multinomial import ValueTable, build_value_table
 from .outcomes import OutcomeModel, theta_squared
 from .permutations import _rng, admissibility_failure, f_perm, inv_f
+
+# Most f_perm samples bench_scaling takes at one n: each is a walk and a
+# BenchRecord, so a larger count is work and memory without a useful end.
+MAX_BENCH_SAMPLES = 10_000
 
 
 @dataclass
@@ -94,8 +108,11 @@ def bench_scaling(
         type(n) is not int or n < 1 for n in n_list
     ):
         raise DomainError(f"n_list must be non-empty positive integers, got {shown(n_list)}")
-    if type(samples_per_n) is not int or samples_per_n < 1:
-        raise DomainError(f"samples_per_n must be an integer >= 1, got {shown(samples_per_n)}")
+    if type(samples_per_n) is not int or not 1 <= samples_per_n <= MAX_BENCH_SAMPLES:
+        raise DomainError(
+            f"samples_per_n must be an integer in [1, {MAX_BENCH_SAMPLES}], "
+            f"got {shown(samples_per_n)}"
+        )
     rng = _rng(seed)
     records: List[BenchRecord] = []
     means: List[Tuple[int, float]] = []
@@ -174,16 +191,27 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     ) and all(table.smc[t] < table.smc[t + 1] for t in range(table.T + 1))
     out.append(_result("table-monotone", n, table.T + 1, mono))
 
-    # exhaustive fast-vs-sweep beta agreement: beta_fast at every (t, xi),
-    # each xi's row of T + 1 values compared with the running class counts
-    # in one list comparison (bad_beta counts the rows that differ); and
-    # the partition identity on the fast values: sum_t beta_fast(t, xi) = xi + 1
+    # one pass over xi in level order.  beta_fast at every (t, xi), each
+    # xi's row of T + 1 values compared with the running class counts in
+    # one list comparison (bad_beta counts the rows that differ), and the
+    # partition identity on the fast values: sum_t beta_fast(t, xi) = xi + 1.
+    # Then ell = inv_f(xi) and f_perm(ell), which must give xi back.  inv_f
+    # ranks xi in class iweight(xi), which the row just ranked, and f_perm
+    # unranks that rank in the same class, so both resume in the state the
+    # row's walk left: one step each.  f_perm(inv_f(xi)) = xi at every xi
+    # makes inv_f one-to-one on the m^n levels, so a bijection; then every
+    # ell meets exactly one f_perm call, mapping is F_n and inv_f is
+    # F_n^{-1}: this is the whole inverse check.  An ell out of range is a
+    # failed row, never an index
+    num = table.num_indices
     wc = weight_classes(table)
     counts = [0] * (table.T + 1)
+    mapping = array("I", [0]) * num
     bad_beta = 0
     bad_partition = 0
+    bad_inv = 0
     checked = 0
-    for xi in range(table.num_indices):
+    for xi in range(num):
         counts[wc[xi]] += 1
         betas = [beta_fast(table, t, xi) for t in range(table.T + 1)]
         checked += len(betas)
@@ -191,6 +219,20 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
             bad_beta += 1
         if sum(betas) != xi + 1:
             bad_partition += 1
+        ell = inv_f(table, xi)
+        if type(ell) is not int or not 0 <= ell < num:
+            bad_inv += 1
+            continue
+        image = mapping[ell] = f_perm(table, ell)
+        if image != xi:
+            bad_inv += 1
+    if bad_inv:
+        # inv_f may have missed some ell: fill F_n there from f_perm (a 0
+        # is unfilled, or F_n(0) = 0), so that the rows below judge f_perm
+        # alone and a faulty inv_f fails the inverse row only
+        for ell in range(num):
+            if not mapping[ell]:
+                mapping[ell] = f_perm(table, ell)
     out.append(_result("beta-equivalence", n, checked, bad_beta == 0))
     out.append(
         _result("beta-partition", n, table.num_indices, bad_partition == 0)
@@ -208,11 +250,7 @@ def table_checks(table: ValueTable, seed: int = 0) -> List[CheckResult]:
     out.append(_result("alpha-beta-gamma", n, table.T + 1, bad == 0))
 
     # F is admissible and inv_f inverts it
-    mapping = array("I", (f_perm(table, ell) for ell in range(table.num_indices)))
     reason = admissibility_failure(table, mapping)
-    bad_inv = sum(
-        1 for ell, ellp in enumerate(mapping) if inv_f(table, ellp) != ell
-    )
     out.append(
         _result(
             "f-admissible", n, table.num_indices,

@@ -53,10 +53,15 @@ class ExactScalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rational, b: Rational = 0, d: int = 1):
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if type(b) is not Fraction:
-            b = Fraction(b)
+        try:
+            if type(a) is not Fraction:
+                a = Fraction(a)
+            if type(b) is not Fraction:
+                b = Fraction(b)
+        except (TypeError, ValueError, ArithmeticError):  # not a rational
+            raise DomainError(
+                f"ExactScalar parts must be rationals, got {shown(a)} and {shown(b)}"
+            ) from None
         if type(d) is not int or d > MAX_RADICAND or not _is_square_free(d):
             raise DomainError(
                 f"radicand must be a square-free integer in [0, {MAX_RADICAND}], got {shown(d)}"

@@ -95,10 +95,11 @@ with one lookup.  A walk resumes from the deepest state that holds it
 (its level for a rank, its rank for an unrank), or from the class root,
 and replaces the states below that.  So the walks of neighbouring
 levels or ranks (an exhaustive sweep, f_perm over consecutive levels,
-gamma_relation after inv_f, or inv_f after f_perm) count only what
-differs.  A rank that resumes where its class ran out (an empty block
-of ranks, as most ranks of an exhaustive sweep do) has no step to take
-and returns that block's count at once.  A resumed walk still pays its
+gamma_relation after inv_f, inv_f after f_perm, or f_perm after inv_f
+as selftest calls it) count only what differs.  A rank that resumes
+where its class ran out (an empty block of ranks, as most ranks of an
+exhaustive sweep do) has no step to take and returns that block's count
+at once.  A resumed walk still pays its
 bulk tau1 scan; table.stats.bigint_ops counts only the arithmetic it
 does: one op per chunk step on either source, added once per walk, plus
 one per composition product summed into a pairs row entry.

@@ -33,6 +33,7 @@ from typing import Iterator, Sequence, Tuple
 from .errors import DomainError, shown
 from .exactnum import ExactScalar
 from .indexing import decode_weight_index
+from .multinomial import MAX_WIDTH
 from .outcomes import OutcomeModel
 
 
@@ -40,8 +41,9 @@ class LayoutModel:
     """Row/block/column geometry of the triangular array at depth M."""
 
     def __init__(self, M: int):
-        if type(M) is not int or M < 0:
-            raise DomainError(f"M must be an integer >= 0, got {shown(M)}")
+        """DomainError unless 0 <= M < MAX_WIDTH: a wider chunk has no level."""
+        if type(M) is not int or not 0 <= M < MAX_WIDTH:
+            raise DomainError(f"M must be an integer in [0, {MAX_WIDTH}), got {shown(M)}")
         self.M = M
 
     def _check_pos(self, value: int, name: str):
@@ -102,13 +104,20 @@ class LayoutModel:
         return tuple(self.jbar(i, r) for r in range(1, self.M + 2))
 
     def jbar_union(self, n: int) -> Tuple[int, ...]:
-        """Jbar^n = Jbar_1 u ... u Jbar_n, ascending."""
+        """Jbar^n = Jbar_1 u ... u Jbar_n, ascending; its n(M+1) coordinates
+        are refused past MAX_WIDTH, as a level that wide is."""
+        self._check_pos(n, "n")
+        if n * (self.M + 1) > MAX_WIDTH:
+            raise DomainError(
+                f"Jbar^n at n = {shown(n)} has n(M+1) = {shown(n * (self.M + 1))} "
+                f"coordinates, more than MAX_WIDTH = {MAX_WIDTH}"
+            )
         return tuple(self._jbar_coords(n))
 
     def _jbar_coords(self, n: int) -> Iterator[int]:
-        """The coordinates of Jbar^n, ascending, made one at a time."""
-        if type(n) is not int or n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {shown(n)}")
+        """The coordinates of Jbar^n, ascending, made one at a time, so
+        weight_index_of_bits stops at x's first missing digit whatever n is."""
+        self._check_pos(n, "n")
         for i in range(1, n + 1):
             yield from self.jbar_set(i)
 

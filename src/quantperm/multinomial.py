@@ -69,7 +69,10 @@ MAX_WIDTH = 1024
 
 def multinomial_coefficient(n: int, k: Sequence[int]) -> int:
     """n! / (k_1! ... k_m!) for a composition k of n."""
-    key = tuple(k)
+    try:
+        key = tuple(k)
+    except TypeError:
+        raise DomainError(f"composition must be an iterable of ints, got {shown(k)}") from None
     if type(n) is not int:
         raise DomainError(f"sum length n must be an integer, got {shown(n)}")
     if any(type(x) is not int or x < 0 for x in key):
@@ -85,9 +88,22 @@ def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
     Each is read off the places of m - 1 bars among n + m - 1 slots: the
     parts are the runs of slots between consecutive bars, and the bars'
     places in lex order give the parts in lex order, at a call depth
-    that does not grow with m."""
+    that does not grow with m.  The slots are held in memory, so more
+    than MAX_COMPOSITIONS of them are refused when called, not when
+    read; an admitted table never needs more, as n + m - 1 <= |K_n|
+    for m >= 2."""
     _check_parts(n, m)
     end = n + m - 1
+    if end > MAX_COMPOSITIONS:
+        raise DomainError(
+            f"compositions of n = {shown(n)} into m = {shown(m)} parts need "
+            f"n + m - 1 = {shown(end)} slots, more than MAX_COMPOSITIONS = {MAX_COMPOSITIONS}"
+        )
+    return _compositions(end, m)
+
+
+def _compositions(end: int, m: int) -> Iterator[Composition]:
+    """The compositions of end - m + 1 into m parts, from their bars."""
     for bars in combinations(range(end), m - 1):
         k, a = [], -1
         for b in bars:

@@ -278,7 +278,7 @@ def builtin_model(name: str) -> OutcomeModel:
             },
         )
         return build_haar(spec, strict=False)
-    raise DomainError(f"unknown builtin model {name!r} (expected 'A' or 'B')")
+    raise DomainError(f"unknown builtin model {shown(name)} (expected 'A' or 'B')")
 
 
 # -- JSON serialization ----------------------------------------------------

@@ -86,7 +86,10 @@ def representation_failure(
 
 def normal_cdf(z: float) -> float:
     """Standard normal cdf Phi(z); erfc keeps the lower tail accurate."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    try:
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    except (TypeError, OverflowError):  # not a number, or past float range
+        raise DomainError(f"normal_cdf needs a float z, got {shown(z)}") from None
 
 
 @dataclass

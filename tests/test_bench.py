@@ -1,6 +1,7 @@
 """Scaling benchmarks, the structural self-test battery, and the
 functions the traced benchmark run wraps."""
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,7 +16,7 @@ from quantperm import (
     fit_loglog_slope,
     selftest,
 )
-from quantperm.bench import table_checks
+from quantperm.bench import MAX_BENCH_SAMPLES, table_checks
 
 
 def test_fit_loglog_slope():
@@ -32,8 +33,9 @@ def test_degenerate_fits_and_sizes_are_domain_errors():
     for points in ([(4, 16), (4, 20)], [(0, 1), (4, 16)], [(4, 16), (8, -1)]):
         with pytest.raises(DomainError, match="slope fit"):
             fit_loglog_slope(points)
-    with pytest.raises(DomainError, match="samples_per_n"):
-        bench_scaling(builtin_model("A"), "A", [4, 8], samples_per_n=1.5)
+    for samples in (1.5, MAX_BENCH_SAMPLES + 1):
+        with pytest.raises(DomainError, match="samples_per_n"):
+            bench_scaling(builtin_model("A"), "A", [4, 8], samples_per_n=samples)
     for sizes in (["4"], [4, None], 5, None):
         with pytest.raises(DomainError, match="n_list"):
             bench_scaling(builtin_model("A"), "A", sizes)
@@ -95,14 +97,11 @@ def test_selftest_passes():
     assert "haar-moments" in {c.name for c in report_b.results}
 
 
-# bigint_ops of the sweep workload, selftest of B to n_max = 5 and of A to
-# n_max = 10: each walk resumes from its class's checkpoint path, so a
-# lost resumption raises the count.  Every table there counts by chunk
-# code, one op per row read
-SWEEP_BIGINT_OPS = 50989
-
-
-def test_sweep_bigint_ops_pinned(monkeypatch):
+def _sweep(monkeypatch, record=None):
+    """The sweep workload's op, selftest of B to n_max = 5 and of A to
+    n_max = 10; returns the tables it built.  With record, every
+    beta_fast, f_perm and inv_f call selftest makes is appended to it
+    as (function, M, n, args, result)."""
     from quantperm import bench
 
     tables = []
@@ -112,9 +111,71 @@ def test_sweep_bigint_ops_pinned(monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr(bench, "build_value_table", build)
+    if record is not None:
+        for fname in ("beta_fast", "f_perm", "inv_f"):
+            real = getattr(bench, fname)
+
+            def logged(table, *args, fname=fname, real=real):
+                result = real(table, *args)
+                record.append((fname, table.model.M, table.n, args, result))
+                return result
+
+            monkeypatch.setattr(bench, fname, logged)
     for name, n_max in (("B", 5), ("A", 10)):
         assert selftest(builtin_model(name), n_max).ok
+    return tables
+
+
+# bigint_ops of the sweep workload: each walk resumes from its class's
+# checkpoint path, so a lost resumption raises the count.  Every table
+# there counts by chunk code, one op per row read; each inv_f and f_perm
+# of the pass takes one step (test_inverse_pass_takes_one_step_a_call)
+SWEEP_BIGINT_OPS = 32586
+
+
+def test_sweep_bigint_ops_pinned(monkeypatch):
+    tables = _sweep(monkeypatch)
     assert sum(table.stats.bigint_ops for table in tables) == SWEEP_BIGINT_OPS
+
+
+@pytest.mark.parametrize("name, n", [("B", 4), ("A", 8)])
+def test_inverse_pass_takes_one_step_a_call(monkeypatch, name, n):
+    # inv_f(xi) resumes where the row of beta_fast(t, xi) left class
+    # iweight(xi), and f_perm(inv_f(xi)) unranks in that state's rank
+    # block: one chunk step, so one bigint op, each
+    from quantperm import bench
+
+    steps = []
+    for fname in ("f_perm", "inv_f"):
+        real = getattr(bench, fname)
+
+        def counted(table, arg, real=real):
+            before = table.stats.bigint_ops
+            result = real(table, arg)
+            steps.append(table.stats.bigint_ops - before)
+            return result
+
+        monkeypatch.setattr(bench, fname, counted)
+    table = build_value_table(builtin_model(name), n)
+    assert all(c.passed for c in table_checks(table))
+    assert steps == [1] * (2 * table.num_indices)
+
+
+# Every lazy call of the sweep workload's op, as a multiset: sha256 of the
+# sorted (function, M, n, args, result) records of its beta_fast,
+# f_perm and inv_f calls, so the digest holds whatever order selftest
+# makes the calls in; and the op's tau1 queries, one bulk scan per walk
+SWEEP_CALLS = 47780
+SWEEP_CALLS_DIGEST = "8d54a7f5b0f756761b278c67ea15b48c53afbb0cef86b3ee87a02db1270c78e6"
+SWEEP_TAU1_QUERIES = 1450352
+
+
+def test_sweep_lazy_calls_pinned(monkeypatch):
+    record = []
+    tables = _sweep(monkeypatch, record)
+    digest = hashlib.sha256(repr(sorted(record)).encode()).hexdigest()
+    assert (len(record), digest) == (SWEEP_CALLS, SWEEP_CALLS_DIGEST)
+    assert sum(table.stats.tau1_queries for table in tables) == SWEEP_TAU1_QUERIES
 
 
 def test_selftest_rejects_oversized_request():
@@ -163,6 +224,29 @@ def test_broken_f_is_reported_not_raised(monkeypatch):
     checks = table_checks(build_value_table(builtin_model("A"), 3), seed=0)
     failed = {c.name for c in checks if not c.passed}
     assert failed == {"f-admissible", "f-inverse", "representation"}
+    assert checks[-1].name == "walk-mass"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda real, table, xi: real(table, xi) + (xi == 5),  # off by one at one xi
+        lambda real, table, xi: table.num_indices if xi == 5 else real(table, xi),
+        lambda real, table, xi: 3,  # a constant
+    ],
+    ids=["off-by-one", "out-of-range", "constant"],
+)
+def test_broken_inv_f_is_reported_not_raised(monkeypatch, fault):
+    # a level inv_f gets wrong fails the inverse row alone: an image out
+    # of range is never an index, and F_n at the levels inv_f missed is
+    # still f_perm's, so the admissibility rows judge f_perm alone
+    from quantperm import bench
+
+    real = bench.inv_f
+    monkeypatch.setattr(bench, "inv_f", lambda table, xi: fault(real, table, xi))
+    checks = table_checks(build_value_table(builtin_model("A"), 3), seed=0)
+    failed = {c.name for c in checks if not c.passed}
+    assert failed == {"f-inverse"}
     assert checks[-1].name == "walk-mass"
 
 

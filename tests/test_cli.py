@@ -321,6 +321,15 @@ def test_bench_n_list_must_be_integers(capsys):
     assert err == "error: --n-list must be comma-separated integers, got '4,x'\n"
 
 
+def test_bench_samples_are_bounded(capsys):
+    # 2**70 samples would be 2**70 walks and records: refused at once
+    code, out, err = run(
+        capsys, "bench", "--model", "builtin:A", "--n-list", "4", "--samples", str(2**70)
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: samples_per_n must be an integer in [1, 10000], got {2**70}\n"
+
+
 def test_selftest_exits_1_with_a_fail_row(capsys, monkeypatch):
     def failing(table, seed=0):
         return [CheckResult("forced", table.n, 1, False, "broken on purpose")]

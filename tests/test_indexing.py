@@ -49,6 +49,7 @@ from quantperm import (
     make_admissible,
     model_from_json,
     multinomial_coefficient,
+    normal_cdf,
     parse_scalar,
     random_admissible,
     ria,
@@ -582,6 +583,15 @@ HUGE_INT_MESSAGES = {
     "strict": (lambda ta: model_from_json({"M": 0, "strict": HUGE}), "'strict'"),
     "scalar-text": (lambda ta: parse_scalar(HUGE), "scalar text"),
     "slope-fit": (lambda ta: fit_loglog_slope([(1, 1), (-HUGE, 1)]), "slope fit"),
+    "builtin-model": (lambda ta: builtin_model(HUGE), "unknown builtin model"),
+    "layout-M-wide": (lambda ta: LayoutModel(HUGE), "M must be"),
+    "layout-jbar-wide": (lambda ta: LayoutModel(1).jbar_union(HUGE), "MAX_WIDTH"),
+    "compositions": (lambda ta: enumerate_compositions(HUGE, 2), "slots"),
+    "multinomial-k": (lambda ta: multinomial_coefficient(2, HUGE), "composition must be"),
+    "bench-samples-wide": (
+        lambda ta: bench_scaling(ta.model, "A", [1, 2], samples_per_n=HUGE), "samples_per_n"
+    ),
+    "normal-cdf": (lambda ta: normal_cdf(HUGE), "normal_cdf needs"),
 }
 
 

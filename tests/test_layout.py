@@ -17,6 +17,7 @@ from quantperm import (
     is_n,
     weight_index_of_bits,
 )
+from quantperm.multinomial import MAX_WIDTH
 
 
 def test_jbar_m1_examples():
@@ -78,6 +79,22 @@ def test_jbar_sets_are_consecutive():
         lay = LayoutModel(M)
         for i in range(1, 50):
             assert max(lay.jbar_set(i)) < min(lay.jbar_set(i + 1))
+
+
+def test_jbar_union_stops_at_max_width():
+    # jbar_union builds a tuple of n(M+1) coordinates, so past MAX_WIDTH
+    # it is refused as a level that wide is; and a depth M with
+    # M + 1 > MAX_WIDTH has no level at all
+    for M in (0, 1, 2):
+        lay = LayoutModel(M)
+        top = MAX_WIDTH // (M + 1)
+        assert len(lay.jbar_union(top)) == top * (M + 1)
+        for n in (top + 1, 2**70):
+            with pytest.raises(DomainError, match="MAX_WIDTH"):
+                lay.jbar_union(n)
+    assert LayoutModel(MAX_WIDTH - 1).jbar_set(1)[-1] == MAX_WIDTH
+    with pytest.raises(DomainError, match="M must be"):
+        LayoutModel(MAX_WIDTH)
 
 
 def test_layout_validation():

@@ -27,7 +27,7 @@ from quantperm import (
     load_model,
     multinomial_coefficient,
 )
-from quantperm.multinomial import MAX_WIDTH
+from quantperm.multinomial import MAX_COMPOSITIONS, MAX_WIDTH
 
 
 def test_coefficient_examples():
@@ -70,6 +70,17 @@ def test_enumeration_depth_does_not_grow_with_parts():
     assert table.gammas == (1,) * 2048
     ks = list(enumerate_compositions(1, 1500))
     assert len(ks) == composition_count(1, 1500) and ks == sorted(ks)
+
+
+def test_enumeration_slots_are_bounded_when_called():
+    # the n + m - 1 slots are held in memory, so past MAX_COMPOSITIONS of
+    # them the call is refused before anything is read; up to it, the
+    # first composition comes at once
+    for n, m in ((MAX_COMPOSITIONS - 1, 2), (0, MAX_COMPOSITIONS + 1)):
+        assert sum(next(enumerate_compositions(n, m))) == n
+    for n, m in ((MAX_COMPOSITIONS, 2), (0, MAX_COMPOSITIONS + 2), (2**70, 1)):
+        with pytest.raises(DomainError, match="MAX_COMPOSITIONS"):
+            enumerate_compositions(n, m)
 
 
 def test_counts_sum_to_power(tables):
